@@ -17,6 +17,7 @@
 
 #include <array>
 #include <iostream>
+#include <vector>
 
 #include "aa/algorithm1.hpp"
 #include "aa/algorithm2.hpp"
@@ -52,10 +53,11 @@ Accumulator run_beta(double beta, std::size_t trials) {
             instance.threads, instance.num_servers, instance.capacity);
         const auto lin = util::linearize(instance.threads, so.c_hat);
 
+        const std::vector<util::Resource> capacities(instance.num_servers,
+                                                     instance.capacity);
         auto evaluate = [&](const core::Algorithm2Options& options) {
           return core::total_utility(
-              instance,
-              core::assign_algorithm2_with_options(instance, lin, options));
+              instance, core::assign_sorted_heap(lin, capacities, options));
         };
 
         Accumulator& acc = partial[t];

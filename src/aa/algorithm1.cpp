@@ -5,35 +5,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "aa/certify.hpp"
-#include "alloc/super_optimal.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
 
 namespace aa::core {
-
-namespace {
-
-/// Computes F, G and packages a SolveResult for an assignment built on the
-/// given linearization. Shared with algorithm2.cpp via solve_pipeline.hpp?
-/// Kept local: each algorithm file is self-contained and tiny.
-SolveResult package(const Instance& instance, Assignment assignment,
-                    std::span<const util::Linearized> linearized,
-                    std::vector<Resource> c_hat, double f_hat) {
-  SolveResult result;
-  result.utility = total_utility(instance, assignment);
-  double g_total = 0.0;
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    g_total += linearized[i].value(assignment.alloc[i]);
-  }
-  result.linearized_utility = g_total;
-  result.super_optimal_utility = f_hat;
-  result.c_hat = std::move(c_hat);
-  result.assignment = std::move(assignment);
-  return result;
-}
-
-}  // namespace
 
 Assignment assign_algorithm1_reference(
     const Instance& instance, std::span<const util::Linearized> linearized) {
@@ -238,24 +213,6 @@ Assignment assign_algorithm1(const Instance& instance,
   obs::count(obs::metric::kAlg1UnfullPicks, unfull_picks);
   obs::count(obs::metric::kAlg1CandidateEvaluations, candidate_evaluations);
   return out;
-}
-
-SolveResult solve_algorithm1(const Instance& instance) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg1Solve);
-  obs::count(obs::metric::kAlg1Solves);
-  instance.validate();
-  alloc::SuperOptimalResult so = alloc::super_optimal_routed(
-      instance.threads, instance.num_servers, instance.capacity);
-  std::vector<util::Linearized> linearized;
-  {
-    const obs::ScopedPhase linearize_phase(obs::metric::kPhaseLinearize);
-    linearized = util::linearize(instance.threads, so.c_hat);
-  }
-  Assignment assignment = assign_algorithm1(instance, linearized);
-  SolveResult result = package(instance, std::move(assignment), linearized,
-                               std::move(so.c_hat), so.utility);
-  certify_and_record(instance, result, "algorithm1");
-  return result;
 }
 
 }  // namespace aa::core

@@ -25,12 +25,14 @@
 #include <span>
 
 #include "aa/solve_result.hpp"
+#include "alloc/super_optimal.hpp"
 
 namespace aa::core {
 
-/// Runs the full pipeline: super-optimal allocation (bisection), Equation-1
-/// linearization, then the greedy rounds above.
-[[nodiscard]] SolveResult solve_algorithm1(const Instance& instance);
+/// Runs the full pipeline (aa/pipeline.hpp) with the greedy rounds above;
+/// records one certificate ("algorithm1") on the installed session.
+[[nodiscard]] SolveResult solve_algorithm1(
+    const Instance& instance, const alloc::SuperOptimalOptions& options = {});
 
 /// Assignment phase only, for callers that already computed the
 /// super-optimal allocation (benches isolate phases this way).

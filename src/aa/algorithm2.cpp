@@ -6,43 +6,16 @@
 #include <stdexcept>
 #include <vector>
 
-#include "aa/certify.hpp"
-#include "alloc/super_optimal.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
 
 namespace aa::core {
 
-namespace {
-
-SolveResult package(const Instance& instance, Assignment assignment,
-                    std::span<const util::Linearized> linearized,
-                    std::vector<Resource> c_hat, double f_hat) {
-  SolveResult result;
-  result.utility = total_utility(instance, assignment);
-  double g_total = 0.0;
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    g_total += linearized[i].value(assignment.alloc[i]);
-  }
-  result.linearized_utility = g_total;
-  result.super_optimal_utility = f_hat;
-  result.c_hat = std::move(c_hat);
-  result.assignment = std::move(assignment);
-  return result;
-}
-
-}  // namespace
-
-Assignment assign_algorithm2_with_options(
-    const Instance& instance, std::span<const util::Linearized> linearized,
-    const Algorithm2Options& options) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg2Assign);
-  const std::size_t n = instance.num_threads();
-  const std::size_t m = instance.num_servers;
-  if (linearized.size() != n) {
-    throw std::invalid_argument("algorithm2: linearization size mismatch");
-  }
-  obs::count(obs::metric::kAlg2ThreadsAssigned, static_cast<std::int64_t>(n));
+Assignment assign_sorted_heap(std::span<const util::Linearized> linearized,
+                              std::span<const Resource> capacities,
+                              const Algorithm2Options& options) {
+  const std::size_t n = linearized.size();
+  const std::size_t m = capacities.size();
 
   // Line 1: nonincreasing peak order (stable; ties keep thread index order).
   std::vector<std::size_t> order(n);
@@ -77,7 +50,7 @@ Assignment assign_algorithm2_with_options(
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(cmp)> heap(
       cmp);
   for (std::size_t j = 0; j < m; ++j) {
-    heap.push({instance.capacity, j});
+    heap.push({capacities[j], j});
   }
 
   Assignment out;
@@ -98,26 +71,15 @@ Assignment assign_algorithm2_with_options(
 
 Assignment assign_algorithm2(const Instance& instance,
                              std::span<const util::Linearized> linearized) {
-  return assign_algorithm2_with_options(instance, linearized,
-                                        Algorithm2Options{});
-}
-
-SolveResult solve_algorithm2(const Instance& instance) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg2Solve);
-  obs::count(obs::metric::kAlg2Solves);
-  instance.validate();
-  alloc::SuperOptimalResult so = alloc::super_optimal_routed(
-      instance.threads, instance.num_servers, instance.capacity);
-  std::vector<util::Linearized> linearized;
-  {
-    const obs::ScopedPhase linearize_phase(obs::metric::kPhaseLinearize);
-    linearized = util::linearize(instance.threads, so.c_hat);
+  const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg2Assign);
+  const std::size_t n = instance.num_threads();
+  if (linearized.size() != n) {
+    throw std::invalid_argument("algorithm2: linearization size mismatch");
   }
-  Assignment assignment = assign_algorithm2(instance, linearized);
-  SolveResult result = package(instance, std::move(assignment), linearized,
-                               std::move(so.c_hat), so.utility);
-  certify_and_record(instance, result, "algorithm2");
-  return result;
+  obs::count(obs::metric::kAlg2ThreadsAssigned, static_cast<std::int64_t>(n));
+  const std::vector<Resource> capacities(instance.num_servers,
+                                         instance.capacity);
+  return assign_sorted_heap(linearized, capacities);
 }
 
 }  // namespace aa::core

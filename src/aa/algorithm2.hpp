@@ -17,27 +17,33 @@
 #include <span>
 
 #include "aa/solve_result.hpp"
+#include "alloc/super_optimal.hpp"
 
 namespace aa::core {
 
-/// Runs the full pipeline: super-optimal allocation (bisection), Equation-1
-/// linearization, then the sorted heap assignment.
-[[nodiscard]] SolveResult solve_algorithm2(const Instance& instance);
+/// Runs the full pipeline (aa/pipeline.hpp) with the sorted heap
+/// assignment; records one certificate ("algorithm2") on the session.
+[[nodiscard]] SolveResult solve_algorithm2(
+    const Instance& instance, const alloc::SuperOptimalOptions& options = {});
 
 /// Assignment phase only (precomputed linearization).
 [[nodiscard]] Assignment assign_algorithm2(
     const Instance& instance, std::span<const util::Linearized> linearized);
 
-/// Ablation hook: the same assignment loop with configurable sorting, used
-/// by bench/ablation_design to quantify each design choice.
+/// Ablation hook: configurable sorting, used by bench/ablation_design to
+/// quantify each design choice.
 struct Algorithm2Options {
   bool sort_by_peak = true;      ///< Step 1 (off = keep input order).
   bool resort_tail_by_density = true;  ///< Step 2.
   bool density_nonincreasing = true;   ///< false reproduces the paper's typo.
 };
 
-[[nodiscard]] Assignment assign_algorithm2_with_options(
-    const Instance& instance, std::span<const util::Linearized> linearized,
-    const Algorithm2Options& options);
+/// Steps 1-3 over explicit per-server capacities (one entry per server),
+/// recording no obs metrics: assign_algorithm2 runs it with m copies of C,
+/// the heterogeneous extension with C_1..C_m.
+[[nodiscard]] Assignment assign_sorted_heap(
+    std::span<const util::Linearized> linearized,
+    std::span<const Resource> capacities,
+    const Algorithm2Options& options = {});
 
 }  // namespace aa::core

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "aa/algorithm2.hpp"
+#include "aa/pipeline.hpp"
 #include "alloc/allocator.hpp"
-#include "alloc/super_optimal.hpp"
-#include "utility/linearized.hpp"
 
 namespace aa::core {
 
@@ -84,63 +84,20 @@ std::string check_assignment(const HeteroInstance& instance,
   return {};
 }
 
-SolveResult solve_algorithm2_hetero(const HeteroInstance& instance) {
+SolveResult solve_algorithm2_hetero(const HeteroInstance& instance,
+                                    const alloc::SuperOptimalOptions& options) {
   instance.validate();
-  const std::size_t n = instance.num_threads();
-  const std::size_t m = instance.num_servers();
-
   // Pooled super-optimal bound: sum of allocations <= total capacity, each
   // thread bounded by the largest single server it could land on.
-  const alloc::AllocationResult so = alloc::allocate_pooled_routed(
-      instance.threads, instance.total_capacity(), instance.max_capacity());
-  const std::vector<util::Linearized> linearized =
-      util::linearize(instance.threads, so.amounts);
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return linearized[a].peak > linearized[b].peak;
-                   });
-  if (n > m) {
-    std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(m),
-                     order.end(), [&](std::size_t a, std::size_t b) {
-                       return linearized[a].density() > linearized[b].density();
-                     });
-  }
-
-  using HeapEntry = std::pair<Resource, std::size_t>;
-  auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second > b.second;
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(cmp)> heap(
-      cmp);
-  for (std::size_t j = 0; j < m; ++j) heap.push({instance.capacities[j], j});
-
-  Assignment assignment;
-  assignment.server.assign(n, 0);
-  assignment.alloc.assign(n, 0.0);
-  for (const std::size_t i : order) {
-    const auto [remaining, j] = heap.top();
-    heap.pop();
-    const Resource granted = std::min(linearized[i].cap, remaining);
-    assignment.server[i] = j;
-    assignment.alloc[i] = static_cast<double>(granted);
-    heap.push({remaining - granted, j});
-  }
-
-  SolveResult result;
-  result.utility = total_utility(instance, assignment);
-  double g_total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    g_total += linearized[i].value(assignment.alloc[i]);
-  }
-  result.linearized_utility = g_total;
-  result.super_optimal_utility = so.total_utility;
-  result.c_hat = so.amounts;
-  result.assignment = std::move(assignment);
-  return result;
+  Relaxation relaxation;
+  relaxation.super = alloc::super_optimal_pooled(
+      instance.threads, instance.total_capacity(), instance.max_capacity(),
+      options);
+  relaxation.linearized =
+      util::linearize(instance.threads, relaxation.super.c_hat);
+  Assignment placement =
+      assign_sorted_heap(relaxation.linearized, instance.capacities);
+  return package(instance.threads, relaxation, std::move(placement));
 }
 
 Assignment heuristic_uu_hetero(const HeteroInstance& instance) {

@@ -14,6 +14,7 @@
 
 #include "aa/problem.hpp"
 #include "aa/solve_result.hpp"
+#include "alloc/super_optimal.hpp"
 #include "support/prng.hpp"
 
 namespace aa::core {
@@ -47,7 +48,8 @@ struct HeteroInstance {
 /// Algorithm 2 generalized to heterogeneous capacities (pipeline: pooled
 /// super-optimal -> linearize -> peak/density sort -> max-remaining heap).
 [[nodiscard]] SolveResult solve_algorithm2_hetero(
-    const HeteroInstance& instance);
+    const HeteroInstance& instance,
+    const alloc::SuperOptimalOptions& options = {});
 
 /// Round-robin + equal split baseline (UU analogue).
 [[nodiscard]] Assignment heuristic_uu_hetero(const HeteroInstance& instance);

@@ -133,7 +133,8 @@ MultiSolveResult finish(const MultiInstance& instance,
 
 }  // namespace
 
-MultiSolveResult solve_algorithm2_multi(const MultiInstance& instance) {
+MultiSolveResult solve_algorithm2_multi(
+    const MultiInstance& instance, const alloc::SuperOptimalOptions& options) {
   instance.validate();
   const std::size_t n = instance.num_threads();
   const std::size_t m = instance.num_servers;
@@ -149,8 +150,8 @@ MultiSolveResult solve_algorithm2_multi(const MultiInstance& instance) {
     for (const MultiUtility& thread : instance.threads) {
       parts.push_back(thread.parts[r]);
     }
-    const alloc::SuperOptimalResult so =
-        alloc::super_optimal_routed(parts, m, instance.capacities[r]);
+    const alloc::SuperOptimalResult so = alloc::super_optimal_with(
+        parts, m, instance.capacities[r], options);
     f_hat += so.utility;
     for (std::size_t i = 0; i < n; ++i) c_hat[i][r] = so.c_hat[i];
   }

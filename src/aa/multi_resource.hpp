@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "aa/problem.hpp"
+#include "alloc/super_optimal.hpp"
 
 namespace aa::core {
 
@@ -81,9 +82,11 @@ struct MultiSolveResult {
 /// Algorithm 2 generalized to additive multi-resource instances: per-type
 /// super-optimal allocations, peak/density sorting on the summed linearized
 /// utilities, normalized-remaining max-heap placement, then exact per-type
-/// re-allocation within every server.
+/// re-allocation within every server. `options` picks the super-optimal
+/// strategy for every type.
 [[nodiscard]] MultiSolveResult solve_algorithm2_multi(
-    const MultiInstance& instance);
+    const MultiInstance& instance,
+    const alloc::SuperOptimalOptions& options = {});
 
 /// Round-robin placement + exact per-server allocation (the fair baseline).
 [[nodiscard]] MultiSolveResult solve_round_robin_multi(

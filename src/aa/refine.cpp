@@ -3,9 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "aa/algorithm1.hpp"
-#include "aa/algorithm2.hpp"
-#include "aa/certify.hpp"
 #include "alloc/allocator.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
@@ -39,34 +36,6 @@ Assignment reoptimize_allocations(const Instance& instance,
   }
   obs::count(obs::metric::kRefineServersReoptimized, reoptimized);
   return out;
-}
-
-namespace {
-
-SolveResult refined(const Instance& instance, SolveResult raw,
-                    std::string_view solver) {
-  obs::count(obs::metric::kRefineSolves);
-  Assignment better = reoptimize_allocations(instance, raw.assignment);
-  const double better_utility = total_utility(instance, better);
-  // Guaranteed non-decreasing, but guard against pathological float drift.
-  if (better_utility >= raw.utility) {
-    raw.assignment = std::move(better);
-    raw.utility = better_utility;
-  }
-  certify_and_record(instance, raw, solver);
-  return raw;
-}
-
-}  // namespace
-
-SolveResult solve_algorithm2_refined(const Instance& instance) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg2SolveRefined);
-  return refined(instance, solve_algorithm2(instance), "algorithm2_refined");
-}
-
-SolveResult solve_algorithm1_refined(const Instance& instance) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseAlg1SolveRefined);
-  return refined(instance, solve_algorithm1(instance), "algorithm1_refined");
 }
 
 }  // namespace aa::core

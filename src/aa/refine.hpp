@@ -17,6 +17,7 @@
 
 #include "aa/problem.hpp"
 #include "aa/solve_result.hpp"
+#include "alloc/super_optimal.hpp"
 
 namespace aa::core {
 
@@ -27,10 +28,14 @@ namespace aa::core {
 
 /// Algorithm 2 followed by per-server re-allocation (the paper's evaluated
 /// configuration). `linearized_utility` and `super_optimal_utility` report
-/// the pre-refinement certificates; `utility` is post-refinement.
-[[nodiscard]] SolveResult solve_algorithm2_refined(const Instance& instance);
+/// the pre-refinement certificates; `utility` is post-refinement. Records
+/// one certificate ("algorithm2_refined"), for the refined result.
+[[nodiscard]] SolveResult solve_algorithm2_refined(
+    const Instance& instance, const alloc::SuperOptimalOptions& options = {});
 
-/// Algorithm 1 followed by per-server re-allocation.
-[[nodiscard]] SolveResult solve_algorithm1_refined(const Instance& instance);
+/// Algorithm 1 followed by per-server re-allocation; records one
+/// certificate ("algorithm1_refined").
+[[nodiscard]] SolveResult solve_algorithm1_refined(
+    const Instance& instance, const alloc::SuperOptimalOptions& options = {});
 
 }  // namespace aa::core

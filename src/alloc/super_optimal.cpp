@@ -1,6 +1,8 @@
 #include "alloc/super_optimal.hpp"
 
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -25,20 +27,21 @@ void count_call(std::span<const util::UtilityPtr> threads) {
              static_cast<std::int64_t>(threads.size()));
 }
 
-// Startup-configured, then read-only while solver threads run (see the
-// header contract); a plain global keeps the hot path branch-free.
-SuperOptimalOptions g_default_options;
+support::ThreadPool* pool_of(const SuperOptimalOptions& options) {
+  return options.workers != nullptr ? options.workers
+                                    : &support::global_pool();
+}
+
+SuperOptimalResult from(AllocationResult result) {
+  return {std::move(result.amounts), result.total_utility};
+}
 
 }  // namespace
 
 SuperOptimalResult super_optimal(std::span<const util::UtilityPtr> threads,
                                  std::size_t num_servers,
                                  util::Resource capacity) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
-  count_call(threads);
-  AllocationResult result =
-      allocate_bisection(threads, pooled(num_servers, capacity), capacity);
-  return {std::move(result.amounts), result.total_utility};
+  return super_optimal_with(threads, num_servers, capacity, {});
 }
 
 SuperOptimalResult super_optimal_greedy(
@@ -46,81 +49,65 @@ SuperOptimalResult super_optimal_greedy(
     util::Resource capacity) {
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
   count_call(threads);
-  AllocationResult result =
-      allocate_greedy(threads, pooled(num_servers, capacity), capacity);
-  return {std::move(result.amounts), result.total_utility};
+  return from(
+      allocate_greedy(threads, pooled(num_servers, capacity), capacity));
 }
 
 SuperOptimalResult super_optimal_parallel(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity, support::ThreadPool* workers) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimalParallel);
-  count_call(threads);
-  obs::count(obs::metric::kSuperOptimalParallelCalls);
-  if (workers == nullptr) workers = &support::global_pool();
-  AllocationResult result = allocate_bisection_soa(
-      threads, pooled(num_servers, capacity), capacity, workers);
-  return {std::move(result.amounts), result.total_utility};
+  return super_optimal_with(
+      threads, num_servers, capacity,
+      {.strategy = SuperOptimalStrategy::kParallel, .workers = workers});
 }
 
 SuperOptimalResult super_optimal_price(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity, double price_tol, support::ThreadPool* workers) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimalPrice);
-  count_call(threads);
-  obs::count(obs::metric::kSuperOptimalPriceCalls);
-  if (workers == nullptr) workers = &support::global_pool();
-  AllocationResult result = allocate_price(
-      threads, pooled(num_servers, capacity), capacity, price_tol, workers);
-  return {std::move(result.amounts), result.total_utility};
+  return super_optimal_with(threads, num_servers, capacity,
+                            {.strategy = SuperOptimalStrategy::kPrice,
+                             .price_tolerance = price_tol,
+                             .workers = workers});
 }
 
 SuperOptimalResult super_optimal_with(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity, const SuperOptimalOptions& options) {
+  return super_optimal_pooled(threads, pooled(num_servers, capacity),
+                              capacity, options);
+}
+
+SuperOptimalResult super_optimal_pooled(
+    std::span<const util::UtilityPtr> threads, util::Resource pool,
+    util::Resource per_thread_cap, const SuperOptimalOptions& options) {
   switch (options.strategy) {
-    case SuperOptimalStrategy::kParallel:
-      return super_optimal_parallel(threads, num_servers, capacity,
-                                    options.workers);
-    case SuperOptimalStrategy::kPrice:
-      return super_optimal_price(threads, num_servers, capacity,
-                                 options.price_tolerance, options.workers);
+    case SuperOptimalStrategy::kParallel: {
+      const obs::ScopedPhase obs_phase(
+          obs::metric::kPhaseSuperOptimalParallel);
+      count_call(threads);
+      obs::count(obs::metric::kSuperOptimalParallelCalls);
+      return from(allocate_bisection_soa(threads, pool, per_thread_cap,
+                                         pool_of(options)));
+    }
+    case SuperOptimalStrategy::kPrice: {
+      const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimalPrice);
+      count_call(threads);
+      obs::count(obs::metric::kSuperOptimalPriceCalls);
+      return from(allocate_price(threads, pool, per_thread_cap,
+                                 options.price_tolerance, pool_of(options)));
+    }
     case SuperOptimalStrategy::kSerial:
       break;
   }
-  return super_optimal(threads, num_servers, capacity);
+  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
+  count_call(threads);
+  return from(allocate_bisection(threads, pool, per_thread_cap));
 }
 
 SuperOptimalResult super_optimal_routed(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity) {
-  return super_optimal_with(threads, num_servers, capacity, g_default_options);
-}
-
-AllocationResult allocate_pooled_routed(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap) {
-  switch (g_default_options.strategy) {
-    case SuperOptimalStrategy::kParallel:
-      return allocate_bisection_soa(threads, pool, per_thread_cap,
-                                    &support::global_pool());
-    case SuperOptimalStrategy::kPrice:
-      return allocate_price(threads, pool, per_thread_cap,
-                            g_default_options.price_tolerance,
-                            &support::global_pool());
-    case SuperOptimalStrategy::kSerial:
-      break;
-  }
-  return allocate_bisection(threads, pool, per_thread_cap);
-}
-
-void set_default_super_optimal_options(const SuperOptimalOptions& options) {
-  g_default_options = options;
-  g_default_options.workers = nullptr;  // Routed paths use the global pool.
-}
-
-SuperOptimalOptions default_super_optimal_options() {
-  return g_default_options;
+  return super_optimal_with(threads, num_servers, capacity, {});
 }
 
 SuperOptimalStrategy parse_super_optimal_strategy(std::string_view name) {
@@ -130,6 +117,18 @@ SuperOptimalStrategy parse_super_optimal_strategy(std::string_view name) {
   throw std::invalid_argument("unknown super-optimal strategy '" +
                               std::string(name) +
                               "' (expected serial|parallel|price)");
+}
+
+double parse_price_tolerance(std::string_view text) {
+  const std::string value(text);
+  char* end = nullptr;
+  const double tol = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(tol) || tol <= 0.0 || tol >= 1.0) {
+    throw std::invalid_argument(
+        "--so-price-tol must be a number in (0, 1), got '" + value + "'");
+  }
+  return tol;
 }
 
 std::string_view super_optimal_strategy_name(SuperOptimalStrategy strategy) {

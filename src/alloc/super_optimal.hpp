@@ -11,11 +11,11 @@
 // change. The optimized paths — `super_optimal_parallel` (bit-identical SoA
 // rewrite, optionally fanned across a thread pool) and `super_optimal_price`
 // (single-price discovery with a documented tolerance, for the very-large-n
-// regime) — sit behind SuperOptimalStrategy. alg1/alg2/alg2h/warm-start
-// route through `super_optimal_routed`, which dispatches on the process-wide
-// default set by aa_solve/aa_serve `--so-strategy`. Branch-and-bound keeps
-// calling the serial reference directly: its pruning needs a true upper
-// bound, and the price variant's utility may fall below F_hat (never above).
+// regime) — sit behind SuperOptimalOptions, which every solver takes as an
+// explicit argument (default serial) and `super_optimal_pooled` alone
+// dispatches on. Branch-and-bound keeps calling the serial reference
+// directly: its pruning needs a true upper bound, and the price variant's
+// utility may fall below F_hat (never above).
 
 #include <span>
 #include <string_view>
@@ -29,7 +29,7 @@ struct SuperOptimalResult {
   double utility = 0.0;               ///< F_hat = sum f_i(c_hat_i).
 };
 
-/// How super_optimal_routed / super_optimal_with compute the allocation.
+/// How super_optimal_with / super_optimal_pooled compute the allocation.
 enum class SuperOptimalStrategy {
   kSerial,    ///< allocate_bisection, the reference path (default).
   kParallel,  ///< allocate_bisection_soa: bit-identical, pool-accelerated.
@@ -42,7 +42,7 @@ struct SuperOptimalOptions {
   /// for the exact utility contract).
   double price_tolerance = 1e-9;
   /// kParallel/kPrice: pool for the probe fan-out; nullptr means
-  /// support::global_pool(). Never stored by the process-wide default.
+  /// support::global_pool().
   support::ThreadPool* workers = nullptr;
 };
 
@@ -74,35 +74,30 @@ struct SuperOptimalOptions {
     util::Resource capacity, double price_tol = 1e-9,
     support::ThreadPool* workers = nullptr);
 
-/// Dispatches on options.strategy.
+/// super_optimal_pooled over `num_servers * capacity` units, cap `capacity`.
 [[nodiscard]] SuperOptimalResult super_optimal_with(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity, const SuperOptimalOptions& options);
 
-/// Dispatches on the process-wide default options. This is the entry point
-/// alg1/alg2/warm-start call.
+/// Dispatches on options.strategy for an explicit pool/cap pair (the
+/// heterogeneous extension's bound: pool = sum C_j, cap = max C_j).
+[[nodiscard]] SuperOptimalResult super_optimal_pooled(
+    std::span<const util::UtilityPtr> threads, util::Resource pool,
+    util::Resource per_thread_cap, const SuperOptimalOptions& options);
+
+/// super_optimal_with at default options; kept only for the end-to-end
+/// benchmark's layer replay (perfbench/replay.cpp).
 [[nodiscard]] SuperOptimalResult super_optimal_routed(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity);
-
-/// Strategy-routed single-pool allocation over an explicit pool/cap pair;
-/// the heterogeneous extension's pooled bound (pool = sum C_j, cap = max
-/// C_j) goes through here so it follows the same seam.
-[[nodiscard]] AllocationResult allocate_pooled_routed(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap);
-
-/// Process-wide default strategy, consulted by super_optimal_routed. The
-/// `workers` field is ignored (the routed paths always use the global
-/// pool); set it per call via super_optimal_with instead. Not synchronized:
-/// set it at startup (aa_solve/aa_serve do), before solver threads exist.
-void set_default_super_optimal_options(const SuperOptimalOptions& options);
-[[nodiscard]] SuperOptimalOptions default_super_optimal_options();
 
 /// Parses "serial" | "parallel" | "price" (the aa_solve/aa_serve
 /// --so-strategy values); throws std::invalid_argument otherwise.
 [[nodiscard]] SuperOptimalStrategy parse_super_optimal_strategy(
     std::string_view name);
+/// Parses a --so-price-tol value; throws std::invalid_argument unless it is
+/// finite and in (0, 1) (at tol >= 1 the price bisection runs no probe).
+[[nodiscard]] double parse_price_tolerance(std::string_view text);
 [[nodiscard]] std::string_view super_optimal_strategy_name(
     SuperOptimalStrategy strategy);
 

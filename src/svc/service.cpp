@@ -531,7 +531,8 @@ void Service::redivide_pool_locked() {
       demand.id = name;
       demand.weight = tenant->quota.weight;
       demand.quota = tenant->quota.quota_units;
-      demand.demand = tenant_demand_units(tenant->state);
+      demand.demand =
+          tenant_demand_units(tenant->state, config_.warm.super_optimal);
       demands.push_back(std::move(demand));
       order.push_back(tenant.get());
     }

@@ -18,15 +18,16 @@ std::size_t shard_of(std::string_view tenant, std::size_t shards) noexcept {
   return static_cast<std::size_t>(hash % shards);
 }
 
-double tenant_demand_units(const InstanceState& state) {
+double tenant_demand_units(const InstanceState& state,
+                           const alloc::SuperOptimalOptions& options) {
   if (state.num_threads() == 0) return 0.0;
   std::vector<util::UtilityPtr> threads;
   threads.reserve(state.num_threads());
   for (const auto& [id, utility] : state.threads()) {
     threads.push_back(utility);
   }
-  const alloc::SuperOptimalResult bound = alloc::super_optimal_routed(
-      threads, state.num_servers(), state.capacity());
+  const alloc::SuperOptimalResult bound = alloc::super_optimal_with(
+      threads, state.num_servers(), state.capacity(), options);
   double units = 0.0;
   for (const util::Resource c : bound.c_hat) {
     units += static_cast<double>(c);

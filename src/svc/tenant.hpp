@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "alloc/super_optimal.hpp"
 #include "svc/instance_state.hpp"
 #include "svc/warm_start.hpp"
 
@@ -148,7 +149,9 @@ struct Tenant {
 /// super-optimal allocation sum(c_hat_i) of its current thread set at the
 /// *full* per-server capacity — what the tenant could productively use if
 /// it owned the whole pool (ISSUE: "demand read off its super-optimal
-/// value"). 0 for an empty tenant.
-[[nodiscard]] double tenant_demand_units(const InstanceState& state);
+/// value"), computed through `options` like the tenant's solves. 0 for an
+/// empty tenant.
+[[nodiscard]] double tenant_demand_units(
+    const InstanceState& state, const alloc::SuperOptimalOptions& options = {});
 
 }  // namespace aa::svc

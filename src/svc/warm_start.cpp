@@ -8,8 +8,7 @@
 #include "aa/algorithm2.hpp"
 #include "aa/certify.hpp"
 #include "aa/online.hpp"
-#include "aa/refine.hpp"
-#include "alloc/super_optimal.hpp"
+#include "aa/pipeline.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
 #include "utility/linearized.hpp"
@@ -36,13 +35,43 @@ std::vector<std::size_t> peak_order(
   return order;
 }
 
-double linearized_total(const std::vector<util::Linearized>& linearized,
-                        const core::Assignment& assignment) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < linearized.size(); ++i) {
-    total += linearized[i].value(assignment.alloc[i]);
+/// The warm candidate's placement: surviving threads pinned to their
+/// previous server in nonincreasing-peak order, each taking
+/// min(c_hat_i, remaining); new threads fill the least-loaded servers
+/// afterwards.
+core::Assignment pinned_placement(
+    const core::Instance& instance,
+    const std::vector<util::Linearized>& linearized,
+    const std::vector<ThreadId>& ids,
+    const std::map<ThreadId, std::size_t>& previous_server) {
+  const std::size_t n = instance.num_threads();
+  core::Assignment placement;
+  placement.server.assign(n, 0);
+  placement.alloc.assign(n, 0.0);
+  std::vector<double> remaining(instance.num_servers,
+                                static_cast<double>(instance.capacity));
+  const auto place = [&](std::size_t index, std::size_t server) {
+    const double give = std::min(static_cast<double>(linearized[index].cap),
+                                 remaining[server]);
+    placement.server[index] = server;
+    placement.alloc[index] = give;
+    remaining[server] -= give;
+  };
+  std::vector<std::size_t> arrivals;  // New threads, still in peak order.
+  for (const std::size_t index : peak_order(linearized)) {
+    const auto it = previous_server.find(ids[index]);
+    if (it == previous_server.end()) {
+      arrivals.push_back(index);
+    } else {
+      place(index, it->second);
+    }
   }
-  return total;
+  for (const std::size_t index : arrivals) {
+    place(index, static_cast<std::size_t>(
+                     std::max_element(remaining.begin(), remaining.end()) -
+                     remaining.begin()));
+  }
+  return placement;
 }
 
 }  // namespace
@@ -118,126 +147,51 @@ ServiceSolveResult WarmStartSolver::solve(const InstanceState& state,
   const std::size_t n = instance.num_threads();
   const core::CertifyOptions certify_options{/*check_concavity=*/false};
 
-  // Empty instance: a trivial (vacuously certified) solution.
-  if (n == 0) {
-    solved.result = core::SolveResult{};
-    solved.path = SolvePath::kFull;
-    solved.certificate = core::certify(instance, solved.result,
-                                       kFullSolverLabel, certify_options);
-    remember(solved, version);
-    obs::count(obs::metric::kSvcSolveFull);
-    return solved;
-  }
+  // Empty instance: the trivial (vacuously certified) solution. Otherwise
+  // both candidates are placed on the relaxation of the current utilities.
+  core::SolveResult fresh;
+  if (n > 0) {
+    const core::Relaxation relaxation =
+        core::relax(instance, config_.super_optimal);
+    const auto candidate = [&](core::Assignment placement) {
+      return core::refined(instance, core::package(instance.threads, relaxation,
+                                                   std::move(placement)));
+    };
+    fresh = candidate(core::assign_algorithm2(instance, relaxation.linearized));
 
-  const std::uint64_t deltas =
-      have_previous_ ? version - solved_version_ : version;
-  const bool must_resolve = force_full || !have_previous_ ||
-                            deltas_exceed_threshold(deltas, n);
-
-  if (must_resolve) {
-    solved.result = core::solve_algorithm2_refined(instance);
-    solved.path = SolvePath::kFull;
-    solved.migrations = count_id_migrations(solved.ids,
-                                            solved.result.assignment);
-    solved.certificate = core::certify(instance, solved.result,
-                                       kFullSolverLabel, certify_options);
-    obs::count(obs::metric::kSvcSolveFull);
-  } else {
-    // Shared prefix of both candidates: the super-optimal allocation and
-    // the two-segment linearization certify the *current* utilities.
-    alloc::SuperOptimalResult super =
-        alloc::super_optimal_routed(instance.threads, instance.num_servers,
-                                    instance.capacity);
-    const std::vector<util::Linearized> linearized =
-        util::linearize(instance.threads, super.c_hat);
-
-    // Fresh candidate: Algorithm 2's placement on the shared linearization.
-    core::Assignment fresh_raw = assign_algorithm2(instance, linearized);
-    const double fresh_linearized = linearized_total(linearized, fresh_raw);
-    core::Assignment fresh_refined =
-        core::reoptimize_allocations(instance, fresh_raw);
-    const double fresh_utility = core::total_utility(instance, fresh_refined);
-
-    // Warm candidate: surviving threads pinned to their previous server in
-    // nonincreasing-peak order, each taking min(c_hat_i, remaining); new
-    // threads fill the least-loaded servers afterwards.
-    core::Assignment warm_raw;
-    warm_raw.server.assign(n, 0);
-    warm_raw.alloc.assign(n, 0.0);
-    std::vector<double> remaining(instance.num_servers,
-                                  static_cast<double>(instance.capacity));
-    const std::vector<std::size_t> order = peak_order(linearized);
-    std::vector<std::size_t> arrivals;  // New threads, still in peak order.
-    for (const std::size_t index : order) {
-      const auto it = previous_server_.find(solved.ids[index]);
-      if (it == previous_server_.end()) {
-        arrivals.push_back(index);
-        continue;
-      }
-      const std::size_t server = it->second;
-      const double give =
-          std::min(static_cast<double>(linearized[index].cap),
-                   remaining[server]);
-      warm_raw.server[index] = server;
-      warm_raw.alloc[index] = give;
-      remaining[server] -= give;
-    }
-    for (const std::size_t index : arrivals) {
-      const std::size_t server = static_cast<std::size_t>(
-          std::max_element(remaining.begin(), remaining.end()) -
-          remaining.begin());
-      const double give = std::min(
-          static_cast<double>(linearized[index].cap), remaining[server]);
-      warm_raw.server[index] = server;
-      warm_raw.alloc[index] = give;
-      remaining[server] -= give;
-    }
-    const double warm_linearized = linearized_total(linearized, warm_raw);
-    core::Assignment warm_refined =
-        core::reoptimize_allocations(instance, warm_raw);
-    const double warm_utility = core::total_utility(instance, warm_refined);
-
-    core::SolveResult warm_result;
-    warm_result.assignment = std::move(warm_refined);
-    warm_result.utility = warm_utility;
-    warm_result.linearized_utility = warm_linearized;
-    warm_result.super_optimal_utility = super.utility;
-    warm_result.c_hat = super.c_hat;
-    const obs::Certificate warm_certificate = core::certify(
-        instance, warm_result, kWarmSolverLabel, certify_options);
-
-    // kSticky rule: keep the pinned placement unless the fresh one beats it
-    // by more than the hysteresis — but only when the warm candidate can
-    // certify its own 0.828 bound; otherwise fall back to Algorithm 2,
-    // whose bound is Theorem VI.1.
-    const bool keep_warm =
-        warm_certificate.ok() &&
-        !core::sticky_should_migrate(fresh_utility, warm_utility,
-                                     config_.hysteresis);
-    if (keep_warm) {
-      solved.result = std::move(warm_result);
-      solved.path = SolvePath::kWarm;
-      solved.certificate = warm_certificate;
-      obs::count(obs::metric::kSvcSolveWarm);
-    } else {
-      core::SolveResult fresh_result;
-      fresh_result.assignment = std::move(fresh_refined);
-      fresh_result.utility = fresh_utility;
-      fresh_result.linearized_utility = fresh_linearized;
-      fresh_result.super_optimal_utility = super.utility;
-      fresh_result.c_hat = std::move(super.c_hat);
-      solved.result = std::move(fresh_result);
-      solved.path = SolvePath::kFull;
-      solved.certificate = core::certify(instance, solved.result,
-                                         kFullSolverLabel, certify_options);
-      obs::count(obs::metric::kSvcSolveFull);
-      if (!warm_certificate.ok()) {
+    const std::uint64_t deltas =
+        have_previous_ ? version - solved_version_ : version;
+    const bool must_resolve = force_full || !have_previous_ ||
+                              deltas_exceed_threshold(deltas, n);
+    if (!must_resolve) {
+      core::SolveResult warm = candidate(pinned_placement(
+          instance, relaxation.linearized, solved.ids, previous_server_));
+      const obs::Certificate warm_certificate = core::certify(
+          instance, warm, kWarmSolverLabel, certify_options);
+      // kSticky rule: keep the pinned placement unless the fresh one beats
+      // it by more than the hysteresis — but only when the warm candidate
+      // can certify its own 0.828 bound; otherwise fall back to
+      // Algorithm 2, whose bound is Theorem VI.1.
+      if (warm_certificate.ok() &&
+          !core::sticky_should_migrate(fresh.utility, warm.utility,
+                                       config_.hysteresis)) {
+        solved.result = std::move(warm);
+        solved.path = SolvePath::kWarm;
+        solved.certificate = warm_certificate;
+        obs::count(obs::metric::kSvcSolveWarm);
+      } else if (!warm_certificate.ok()) {
         obs::count(obs::metric::kSvcWarmCertificateRejects);
       }
     }
-    solved.migrations = count_id_migrations(solved.ids,
-                                            solved.result.assignment);
   }
+  if (solved.path == SolvePath::kFull) {
+    solved.result = std::move(fresh);
+    solved.certificate = core::certify(instance, solved.result,
+                                       kFullSolverLabel, certify_options);
+    obs::count(obs::metric::kSvcSolveFull);
+  }
+  solved.migrations = count_id_migrations(solved.ids,
+                                          solved.result.assignment);
 
   // Surface the reply certificate on the installed session (the
   // counters/certificate list behind `aa_serve --metrics`).

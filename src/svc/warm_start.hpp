@@ -24,12 +24,15 @@
 //             fresh candidate beats the warm one by more than the kSticky
 //             hysteresis (aa::core::sticky_should_migrate).
 //
-// Every path's result carries a full aa::obs certificate computed against
-// the *current* instance — the super-optimal bound is always recomputed
-// after any delta, so the 0.828 guarantee in replies is never claimed from
-// stale data. The warm path has no a-priori ratio theorem; it is accepted
-// only if its certificate chain verifies, with kFull as the fallback, so
-// warm-start utility is never below alpha * F_hat.
+// Both candidates are placements on one relaxation of the current instance,
+// packaged and refined by the batch pipeline (aa/pipeline.hpp). Every path's
+// result carries a full aa::obs certificate computed against the *current*
+// instance — the super-optimal bound is always recomputed after any delta,
+// so the 0.828 guarantee in replies is never claimed from stale data. The
+// warm path has no a-priori ratio theorem; it is accepted only if its
+// certificate chain verifies, with kFull as the fallback, so warm-start
+// utility is never below alpha * F_hat. A non-cached solve records one
+// certificate on the installed obs::Session: the reply's.
 
 #include <cstddef>
 #include <map>
@@ -37,6 +40,7 @@
 
 #include "aa/problem.hpp"
 #include "aa/solve_result.hpp"
+#include "alloc/super_optimal.hpp"
 #include "obs/certificate.hpp"
 #include "svc/instance_state.hpp"
 
@@ -50,6 +54,9 @@ struct WarmStartConfig {
   /// max(resolve_delta_min, resolve_delta_fraction * num_threads).
   double resolve_delta_fraction = 0.25;
   std::size_t resolve_delta_min = 8;
+  /// Super-optimal strategy for every solve (aa_serve --so-strategy /
+  /// --so-price-tol); the service's demand computation uses it too.
+  alloc::SuperOptimalOptions super_optimal;
 };
 
 enum class SolvePath { kCached, kWarm, kFull };

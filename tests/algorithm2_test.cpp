@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "aa/exact.hpp"
 #include "aa/solve_result.hpp"
@@ -158,8 +159,10 @@ TEST(Algorithm2Options, DisablingSortsDegradesOrMatches) {
   Algorithm2Options no_sort;
   no_sort.sort_by_peak = false;
   no_sort.resort_tail_by_density = false;
+  const std::vector<Resource> capacities(instance.num_servers,
+                                         instance.capacity);
   const Assignment degraded =
-      assign_algorithm2_with_options(instance, linearized, no_sort);
+      assign_sorted_heap(linearized, capacities, no_sort);
   EXPECT_EQ(check_assignment(instance, degraded), "");
   // Unsorted assignment can never beat the full algorithm by more than
   // noise on this heavy-tailed workload (and typically loses).

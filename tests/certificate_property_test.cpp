@@ -119,26 +119,6 @@ TEST_P(CertificateProperty, CorruptedResultFailsCertification) {
   EXPECT_FALSE(lied.ok());
 }
 
-/// Scoped override of the process-wide super-optimal strategy; restores the
-/// previous default on destruction so test order never leaks state.
-class ScopedStrategy {
- public:
-  explicit ScopedStrategy(alloc::SuperOptimalStrategy strategy,
-                          double price_tolerance = 1e-9)
-      : saved_(alloc::default_super_optimal_options()) {
-    alloc::SuperOptimalOptions options;
-    options.strategy = strategy;
-    options.price_tolerance = price_tolerance;
-    alloc::set_default_super_optimal_options(options);
-  }
-  ~ScopedStrategy() { alloc::set_default_super_optimal_options(saved_); }
-  ScopedStrategy(const ScopedStrategy&) = delete;
-  ScopedStrategy& operator=(const ScopedStrategy&) = delete;
-
- private:
-  alloc::SuperOptimalOptions saved_;
-};
-
 TEST_P(CertificateProperty, PriceStrategyHonorsItsToleranceContract) {
   // The documented allocate_price contract: the price allocation is pooled-
   // feasible (so F_price never exceeds the exact F_hat), and the shortfall
@@ -185,14 +165,15 @@ TEST_P(CertificateProperty, SolversCertifyUnderEveryStrategy) {
         alloc::SuperOptimalStrategy::kPrice}) {
     SCOPED_TRACE(std::string("strategy=") +
                  std::string(alloc::super_optimal_strategy_name(strategy)));
-    const ScopedStrategy scoped(strategy);
+    alloc::SuperOptimalOptions options;
+    options.strategy = strategy;
     const struct {
       const char* name;
       SolveResult result;
     } runs[] = {
-        {"algorithm2", solve_algorithm2(instance)},
-        {"algorithm2_refined", solve_algorithm2_refined(instance)},
-        {"algorithm1_refined", solve_algorithm1_refined(instance)},
+        {"algorithm2", solve_algorithm2(instance, options)},
+        {"algorithm2_refined", solve_algorithm2_refined(instance, options)},
+        {"algorithm1_refined", solve_algorithm1_refined(instance, options)},
     };
     for (const auto& run : runs) {
       const obs::Certificate cert = certify(instance, run.result, run.name);
@@ -205,7 +186,7 @@ TEST_P(CertificateProperty, SolversCertifyUnderEveryStrategy) {
     // ... and against the true optimum, up to the certificate tolerance
     // (the price bound at tol=1e-9 is far below it on these shapes).
     const ExactResult exact = solve_exact(instance);
-    const SolveResult refined = solve_algorithm2_refined(instance);
+    const SolveResult refined = solve_algorithm2_refined(instance, options);
     EXPECT_GE(refined.utility, kApproximationRatio * exact.utility -
                                    1e-6 * (1.0 + exact.utility));
   }
@@ -213,19 +194,20 @@ TEST_P(CertificateProperty, SolversCertifyUnderEveryStrategy) {
 
 TEST_P(CertificateProperty, SolversRecordCertificatesOnTheSession) {
   const Instance instance = make_instance();
+  const SolveResult raw = solve_algorithm2(instance);  // Before the session.
   obs::Session session;
   (void)solve_algorithm2_refined(instance);
   const obs::Metrics metrics = session.metrics();
-  // Raw Algorithm 2 plus the refined wrapper each record one certificate.
-  EXPECT_EQ(metrics.counter("certificate/checks"), 2);
+  // One certificate per solve: the refined result's, whose G still comes
+  // from the raw placement.
+  EXPECT_EQ(metrics.counter("certificate/checks"), 1);
   EXPECT_EQ(metrics.counter("certificate/failures"), 0);
   const auto certificates = session.certificates();
-  ASSERT_EQ(certificates.size(), 2u);
-  EXPECT_EQ(certificates[0].input.solver, "algorithm2");
-  EXPECT_EQ(certificates[1].input.solver, "algorithm2_refined");
-  for (const obs::Certificate& cert : certificates) {
-    EXPECT_TRUE(cert.ok()) << cert.to_json().dump(2);
-  }
+  ASSERT_EQ(certificates.size(), 1u);
+  EXPECT_EQ(certificates[0].input.solver, "algorithm2_refined");
+  EXPECT_TRUE(certificates[0].ok()) << certificates[0].to_json().dump(2);
+  EXPECT_EQ(certificates[0].input.f_linearized, raw.linearized_utility);
+  EXPECT_TRUE(certificates[0].linearized_alpha_ok);
 }
 
 }  // namespace

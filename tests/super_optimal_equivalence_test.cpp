@@ -216,5 +216,27 @@ TEST(SuperOptimalEquivalence, NegativeCapacityThrowsOnEveryPath) {
                std::invalid_argument);
 }
 
+TEST(SuperOptimalEquivalence, StrategyFlagsParseOrThrow) {
+  EXPECT_EQ(alloc::parse_super_optimal_strategy("serial"),
+            alloc::SuperOptimalStrategy::kSerial);
+  EXPECT_EQ(alloc::parse_super_optimal_strategy("parallel"),
+            alloc::SuperOptimalStrategy::kParallel);
+  EXPECT_EQ(alloc::parse_super_optimal_strategy("price"),
+            alloc::SuperOptimalStrategy::kPrice);
+  EXPECT_THROW((void)alloc::parse_super_optimal_strategy("fast"),
+               std::invalid_argument);
+
+  EXPECT_EQ(alloc::parse_price_tolerance("1e-9"), 1e-9);
+  EXPECT_EQ(alloc::parse_price_tolerance("0.5"), 0.5);
+  // At tol >= 1 the bisection would run no probe; NaN and negatives used to
+  // mean "exact" silently. All of them, and junk, are rejected.
+  for (const char* bad :
+       {"0", "1", "1.5", "-1e-3", "nan", "inf", "-inf", "", "1e-3x", "x"}) {
+    EXPECT_THROW((void)alloc::parse_price_tolerance(bad),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace aa

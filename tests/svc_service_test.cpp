@@ -10,10 +10,13 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc/super_optimal.hpp"
+#include "obs/session.hpp"
 #include "support/json.hpp"
 
 namespace aa::svc {
@@ -62,6 +65,77 @@ TEST(Service, SolveOnEmptyInstance) {
   EXPECT_DOUBLE_EQ(solved.at("utility").as_number(), 0.0);
   EXPECT_TRUE(solved.at("assignment").as_array().empty());
   service.stop();
+}
+
+TEST(Service, FullSolveRecordsOneCertificate) {
+  obs::Session session;
+  Service service(ServiceConfig{});
+  service.start();
+  ASSERT_TRUE(ask(service, kAddPower).at("ok").as_bool());
+  const JsonValue solved = ask(service, R"({"op": "solve"})");
+  service.stop();
+  EXPECT_EQ(solved.at("path").as_string(), "full");
+  // The reply's certificate, and no other.
+  EXPECT_EQ(session.metrics().counter("certificate/checks"), 1);
+  const auto certificates = session.certificates();
+  ASSERT_EQ(certificates.size(), 1u);
+  EXPECT_EQ(certificates[0].input.solver, "svc_full");
+  EXPECT_TRUE(certificates[0].ok());
+}
+
+// WarmStartConfig::super_optimal reaches every solve (full and warm) and
+// every fairness demand: under kParallel the replies are bit-identical to
+// the serial reference, and every super-optimal call took the SoA path.
+TEST(Service, ParallelSuperOptimalMatchesSerialBitForBit) {
+  const std::vector<std::string> script = {
+      kAddPower,
+      R"({"op": "add_thread", "thread": {"type": "log", "scale": 2.0, "rate": 0.1}})",
+      R"({"op": "add_thread", "thread": {"type": "power", "scale": 3.0, "beta": 0.3}})",
+      R"({"op": "solve"})",
+      R"({"op": "update_utility", "id": 2, "factor": 1.03})",
+      R"({"op": "solve"})",
+      R"({"op": "tenant_create", "tenant": "b", "weight": 2})",
+      R"({"op": "add_thread", "tenant": "b", "thread": {"type": "log", "scale": 1.0, "rate": 0.2}})",
+      R"({"op": "solve", "tenant": "b"})",
+      R"({"op": "solve", "mode": "full"})",
+      R"({"op": "tenant_list"})",
+  };
+  struct Run {
+    std::vector<std::string> replies;
+    std::int64_t calls = 0;
+    std::int64_t parallel_calls = 0;
+    std::int64_t solves = 0;
+  };
+  const auto run = [&](alloc::SuperOptimalStrategy strategy) {
+    ServiceConfig config;
+    config.warm.super_optimal.strategy = strategy;
+    Run out;
+    obs::Session session;
+    Service service(config);
+    service.start();
+    // Request ids and solve timings differ run to run; nothing else may.
+    const std::regex varying(R"re(,"(rid|solve_ms)":[-+.0-9e]+)re");
+    for (const std::string& line : script) {
+      out.replies.push_back(
+          std::regex_replace(service.request(line), varying, ""));
+    }
+    service.stop();
+    const obs::Metrics metrics = session.metrics();
+    out.calls = metrics.counter("super_optimal/calls");
+    out.parallel_calls = metrics.counter("super_optimal/parallel_calls");
+    out.solves = metrics.counter("svc/solve_full") +
+                 metrics.counter("svc/solve_warm");
+    return out;
+  };
+  const Run serial = run(alloc::SuperOptimalStrategy::kSerial);
+  const Run parallel = run(alloc::SuperOptimalStrategy::kParallel);
+  EXPECT_EQ(parallel.replies, serial.replies);
+  EXPECT_EQ(serial.parallel_calls, 0);
+  EXPECT_EQ(parallel.parallel_calls, parallel.calls);
+  EXPECT_EQ(parallel.calls, serial.calls);
+  // More calls than solves: the tenant_create re-division computed the
+  // default tenant's demand through the same options.
+  EXPECT_GT(parallel.parallel_calls, parallel.solves);
 }
 
 // Requests submitted before start() form one deterministic batch: the

@@ -34,10 +34,11 @@
 // --karma-credits sets the opening credit balance minted for tenants
 // created without an explicit "credits" field under the karma policy.
 //
-// --so-strategy routes every solve's super-optimal allocation through the
-// chosen implementation (docs/ALGORITHMS.md "Strategy seam"): serial
-// reference, bit-identical parallel SoA, or price discovery within
-// --so-price-tol of F_hat (default 1e-9; certificates stay valid).
+// --so-strategy routes every solve's super-optimal allocation (and every
+// tenant's fairness demand) through the chosen implementation
+// (docs/ALGORITHMS.md "Strategy seam"): serial reference, bit-identical
+// parallel SoA, or price discovery within --so-price-tol of F_hat (default
+// 1e-9, must lie in (0, 1); certificates stay valid).
 //
 // --metrics writes the aa::obs blob (svc/* counters, solve timings, and the
 // per-solve certificates) to FILE, or stdout with "-", at exit. --trace-out
@@ -94,6 +95,10 @@ svc::ServiceConfig config_from_args(const support::Args& args) {
       args.get_double("resolve-fraction", 0.25);
   config.warm.resolve_delta_min =
       static_cast<std::size_t>(args.get_int("resolve-min", 8));
+  config.warm.super_optimal.strategy = alloc::parse_super_optimal_strategy(
+      args.get("so-strategy", "serial"));
+  config.warm.super_optimal.price_tolerance =
+      alloc::parse_price_tolerance(args.get("so-price-tol", "1e-9"));
   config.shards = static_cast<std::size_t>(args.get_int("shards", 1));
   const std::string fairness = args.get("fairness", "static_quota");
   const std::optional<svc::FairnessPolicyKind> kind =
@@ -142,13 +147,6 @@ int main(int argc, char** argv) {
                    "[--slo-objective R] [--slow-trace-out FILE]\n";
       return 2;
     }
-    // Install the super-optimal strategy before any solver thread starts
-    // (the default is read un-synchronized on the hot path).
-    alloc::SuperOptimalOptions so_options;
-    so_options.strategy = alloc::parse_super_optimal_strategy(
-        args.get("so-strategy", "serial"));
-    so_options.price_tolerance = args.get_double("so-price-tol", 1e-9);
-    alloc::set_default_super_optimal_options(so_options);
     // Belt and braces next to MSG_NOSIGNAL: a client vanishing mid-reply
     // must never kill the server.
     std::signal(SIGPIPE, SIG_IGN);

@@ -10,8 +10,8 @@
 // `serial` is the reference bisection, `parallel` the bit-identical SoA
 // rewrite fanned across the thread pool, and `price` the single-price
 // discovery variant whose utility trails F_hat by at most --so-price-tol
-// relative scale (default 1e-9). Branch-and-bound ignores the seam: its
-// pruning needs a true upper bound.
+// relative scale (default 1e-9; values outside (0, 1) are rejected).
+// Branch-and-bound ignores the seam: its pruning needs a true upper bound.
 //
 // The default algorithm is alg2 (Algorithm 2 + per-server refinement, the
 // paper's evaluated configuration). `search` adds local-search
@@ -52,22 +52,23 @@ struct Solution {
 };
 
 Solution run(const std::string& algorithm, const core::Instance& instance,
-             std::uint64_t seed) {
+             std::uint64_t seed, const alloc::SuperOptimalOptions& so) {
   support::Rng rng(seed);
   if (algorithm == "alg2") {
-    core::SolveResult result = core::solve_algorithm2_refined(instance);
+    core::SolveResult result = core::solve_algorithm2_refined(instance, so);
     return {std::move(result.assignment), result.super_optimal_utility};
   }
   if (algorithm == "alg2raw") {
-    core::SolveResult result = core::solve_algorithm2(instance);
+    core::SolveResult result = core::solve_algorithm2(instance, so);
     return {std::move(result.assignment), result.super_optimal_utility};
   }
   if (algorithm == "alg1") {
-    core::SolveResult result = core::solve_algorithm1_refined(instance);
+    core::SolveResult result = core::solve_algorithm1_refined(instance, so);
     return {std::move(result.assignment), result.super_optimal_utility};
   }
   if (algorithm == "search") {
-    const core::SolveResult start = core::solve_algorithm2_refined(instance);
+    const core::SolveResult start =
+        core::solve_algorithm2_refined(instance, so);
     core::LocalSearchResult result =
         core::improve_local_search(instance, start.assignment);
     return {std::move(result.assignment), start.super_optimal_utility};
@@ -109,8 +110,8 @@ int main(int argc, char** argv) {
     alloc::SuperOptimalOptions so_options;
     so_options.strategy = alloc::parse_super_optimal_strategy(
         args.get("so-strategy", "serial"));
-    so_options.price_tolerance = args.get_double("so-price-tol", 1e-9);
-    alloc::set_default_super_optimal_options(so_options);
+    so_options.price_tolerance =
+        alloc::parse_price_tolerance(args.get("so-price-tol", "1e-9"));
     const std::string metrics_path = args.get("metrics", "");
     std::unique_ptr<obs::Session> session;
     if (!metrics_path.empty()) session = std::make_unique<obs::Session>();
@@ -135,7 +136,8 @@ int main(int argc, char** argv) {
       core::Assignment assignment;
       double bound = -1.0;
       if (algorithm == "alg2" || algorithm == "alg2h") {
-        core::SolveResult result = core::solve_algorithm2_hetero(hetero);
+        core::SolveResult result =
+            core::solve_algorithm2_hetero(hetero, so_options);
         bound = result.super_optimal_utility;
         assignment = std::move(result.assignment);
       } else if (algorithm == "uu") {
@@ -167,7 +169,7 @@ int main(int argc, char** argv) {
     const core::Instance instance = io::instance_from_json(document);
     const Solution solution =
         run(algorithm, instance,
-            static_cast<std::uint64_t>(args.get_int("seed", 1)));
+            static_cast<std::uint64_t>(args.get_int("seed", 1)), so_options);
     core::require_valid(instance, solution.assignment);
     const double utility = core::total_utility(instance, solution.assignment);
 

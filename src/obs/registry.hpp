@@ -69,6 +69,7 @@ inline constexpr std::string_view kSvcDeadlineMisses = "svc/deadline_misses";
 inline constexpr std::string_view kSvcErrors = "svc/errors";
 inline constexpr std::string_view kSvcInternalErrors = "svc/internal_errors";
 inline constexpr std::string_view kSvcMigrations = "svc/migrations";
+inline constexpr std::string_view kSvcOverflows = "svc/overflows";
 inline constexpr std::string_view kSvcReplyFailures = "svc/reply_failures";
 inline constexpr std::string_view kSvcRequests = "svc/requests";
 inline constexpr std::string_view kSvcShutdowns = "svc/shutdowns";
@@ -117,6 +118,7 @@ inline constexpr std::string_view kAllCounters[] = {
     kSvcErrors,
     kSvcInternalErrors,
     kSvcMigrations,
+    kSvcOverflows,
     kSvcReplyFailures,
     kSvcRequests,
     kSvcShutdowns,

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/log.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
 #include "support/sync.hpp"
@@ -20,11 +18,6 @@ using support::JsonValue;
 /// tests and tools that run several services in one process.
 std::atomic<std::uint64_t> g_next_rid{1};
 
-double ms_between(std::chrono::steady_clock::time_point from,
-                  std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
 /// Copies every member of `payload` onto `reply`.
 void merge_into(JsonValue& reply, const JsonValue& payload) {
   for (const auto& [key, value] : payload.as_object()) {
@@ -32,15 +25,43 @@ void merge_into(JsonValue& reply, const JsonValue& payload) {
   }
 }
 
+JsonValue tenant_list_json(const ServiceSnapshot& snapshot,
+                           const ServiceConfig& config) {
+  JsonValue::Array tenants;
+  for (const TenantRow& row : snapshot.tenants) {
+    JsonValue entry;
+    entry.set("tenant", row.name);
+    entry.set("shard", shard_of(row.name, config.shards));
+    entry.set("weight", row.quota.weight);
+    entry.set("quota_units", row.quota.quota_units);
+    entry.set("max_threads", row.quota.max_threads);
+    entry.set("threads", row.threads);
+    entry.set("slice_units", row.slice_units);
+    entry.set("demand_units", row.demand_units);
+    entry.set("solve_capacity", row.solve_capacity);
+    entry.set("credits", row.credits);
+    tenants.push_back(std::move(entry));
+  }
+  JsonValue payload;
+  payload.set("policy", fairness_policy_name(config.fairness));
+  payload.set("pool_units", pool_units(config));
+  payload.set("tenants", JsonValue(std::move(tenants)));
+  payload.set("tenant_count", snapshot.tenants.size());
+  return payload;
+}
+
 }  // namespace
 
-bool Service::tenant_scoped(Op op) noexcept {
-  switch (op) {
+std::string_view Service::addressed_tenant(const Pending& pending) noexcept {
+  if (pending.error_reply) return {};
+  switch (pending.request.op) {
     case Op::kAddThread:
     case Op::kRemoveThread:
     case Op::kUpdateUtility:
     case Op::kSolve:
-      return true;
+      return pending.request.tenant.empty()
+                 ? kDefaultTenant
+                 : std::string_view(pending.request.tenant);
     case Op::kStats:
     case Op::kMetrics:
     case Op::kTrace:
@@ -50,22 +71,17 @@ bool Service::tenant_scoped(Op op) noexcept {
     case Op::kTenantUpdate:
     case Op::kTenantDelete:
     case Op::kTenantList:
-      return false;
+      return {};
   }
-  return false;
+  return {};
 }
 
-std::string_view Service::tenant_name(const Request& request) noexcept {
-  return request.tenant.empty() ? kDefaultTenant
-                                : std::string_view(request.tenant);
+double pool_units(const ServiceConfig& config) noexcept {
+  return static_cast<double>(config.num_servers) *
+         static_cast<double>(config.capacity);
 }
 
-double Service::pool_units() const noexcept {
-  return static_cast<double>(config_.num_servers) *
-         static_cast<double>(config_.capacity);
-}
-
-Service::Service(ServiceConfig config) : config_(config) {
+Service::Service(ServiceConfig config) : config_(config), telemetry_(config_) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.batch_max == 0) config_.batch_max = 1;
   if (config_.shards == 0) config_.shards = 1;
@@ -150,68 +166,53 @@ void Service::submit_line(const std::string& line, ReplyFn reply) {
     // replies to requests submitted before this line.
     obs::count(obs::metric::kSvcErrors);
     pending.error_reply = make_error_reply(error.code(), error.what());
-    pending.error_reply->set("rid",
-                             static_cast<std::int64_t>(pending.rid));
   }
 
   // Tenant-scoped requests go to their tenant's shard; control requests
   // (and unparseable lines, which name no tenant) go to shard 0.
-  const std::size_t shard_index =
-      (op.has_value() && tenant_scoped(*op))
-          ? shard_of(tenant_name(pending.request), config_.shards)
-          : 0;
-  Shard& shard = *shards_[shard_index];
+  const std::string_view tenant = addressed_tenant(pending);
+  Shard& shard =
+      *shards_[tenant.empty() ? 0 : shard_of(tenant, config_.shards)];
 
+  // Decide under the queue lock; a rejected request is answered and
+  // accounted only after it is released, so a stalled client's reply
+  // callback cannot hold up the shard's producers or the workers.
+  std::string_view reject;  // The error code when not queued.
   std::size_t depth = 0;
   {
     const support::MutexLock lock(shard.queue_mutex);
     if (shard.stopping || shutdown_requested()) {
-      const support::MutexLock stats(stats_mutex_);
-      ++requests_total_;
-      ++errors_total_;
-      JsonValue inline_reply =
-          pending.error_reply
-              ? std::move(*pending.error_reply)
-              : make_error_reply(error_code::kShuttingDown,
-                                 "service is shutting down",
-                                 op_name(pending.request.op),
-                                 pending.request.tag);
-      inline_reply.set("rid", static_cast<std::int64_t>(pending.rid));
-      pending.reply(inline_reply.dump());
-      return;
-    }
-    if (shard.queue.size() >= config_.max_queue) {
-      const support::MutexLock stats(stats_mutex_);
-      ++requests_total_;
-      ++errors_total_;
-      JsonValue inline_reply =
-          pending.error_reply
-              ? std::move(*pending.error_reply)
-              : make_error_reply(error_code::kOverflow,
-                                 "request queue is full",
-                                 op_name(pending.request.op),
-                                 pending.request.tag);
-      inline_reply.set("rid", static_cast<std::int64_t>(pending.rid));
-      pending.reply(inline_reply.dump());
-      return;
-    }
-    shard.queue.push_back(std::move(pending));
-    depth = shard.queue.size();
-  }
-  shard.queue_cv.notify_one();
-
-  {
-    const support::MutexLock stats(stats_mutex_);
-    ++requests_total_;
-    if (op) {
-      ++op_counts_[static_cast<std::size_t>(*op)];
+      reject = error_code::kShuttingDown;
+    } else if (shard.queue.size() >= config_.max_queue) {
+      reject = error_code::kOverflow;
     } else {
-      ++errors_total_;
+      shard.queue.push_back(std::move(pending));
+      depth = shard.queue.size();
     }
-    queue_peak_ = std::max(queue_peak_, depth);
-    queue_depth_.sample(static_cast<double>(depth));
   }
-  obs::sample(obs::metric::kSampleSvcQueueDepth, static_cast<double>(depth));
+  if (reject.empty()) {
+    shard.queue_cv.notify_one();
+    telemetry_.enqueued(op, depth);
+    return;
+  }
+
+  JsonValue rejection =
+      pending.error_reply
+          ? std::move(*pending.error_reply)
+          : make_error_reply(reject,
+                             reject == error_code::kOverflow
+                                 ? "request queue is full"
+                                 : "service is shutting down",
+                             op_name(pending.request.op), pending.request.tag);
+  rejection.set("rid", static_cast<std::int64_t>(pending.rid));
+  telemetry_.finish({.rid = pending.rid,
+                     .tenant = tenant,
+                     .enqueued = now,
+                     .started = now,
+                     .finished = now,
+                     .shed = true},
+                    rejection);
+  pending.reply(rejection.dump());
 }
 
 std::string Service::request(const std::string& line) {
@@ -308,190 +309,6 @@ void Service::deliver_in_order(Shard& shard, std::uint64_t seq,
   shard.deliver_cv.notify_all();
 }
 
-void Service::record_latency(const Pending& pending, Clock::time_point now) {
-  const double wall_ms = ms_between(pending.enqueued, now);
-  {
-    const support::MutexLock stats(stats_mutex_);
-    request_latency_ms_.sample(wall_ms);
-  }
-  obs::sample(obs::metric::kSampleSvcRequest, wall_ms);
-}
-
-double Service::slo_budget() const noexcept {
-  return std::max(1.0 - config_.slo_objective, 1e-6);
-}
-
-void Service::finish_request(Shard& shard, const Pending& pending,
-                             const JsonValue& reply,
-                             Clock::time_point started,
-                             Clock::time_point finished) {
-  const double total_ms = ms_between(pending.enqueued, finished);
-  const double queue_wait_ms = ms_between(pending.enqueued, started);
-
-  CapturedRequest captured;
-  captured.rid = pending.rid;
-  captured.tag = pending.request.tag;
-  captured.enqueued_at_ms = ms_between(started_, pending.enqueued);
-  captured.queue_wait_ms = queue_wait_ms;
-  captured.total_ms = total_ms;
-  const JsonValue* ok_node = reply.find("ok");
-  captured.ok =
-      ok_node != nullptr && ok_node->is_bool() && ok_node->as_bool();
-  if (const JsonValue* node = reply.find("op");
-      node != nullptr && node->is_string()) {
-    captured.op = node->as_string();
-  } else if (!pending.error_reply) {
-    captured.op = std::string(op_name(pending.request.op));
-  }
-  if (const JsonValue* node = reply.find("code");
-      node != nullptr && node->is_string()) {
-    captured.code = node->as_string();
-  }
-  if (const JsonValue* node = reply.find("path");
-      node != nullptr && node->is_string()) {
-    captured.path = node->as_string();
-  }
-  const bool scoped =
-      !pending.error_reply && tenant_scoped(pending.request.op);
-  if (scoped) captured.tenant = std::string(tenant_name(pending.request));
-
-  // A miss is a timeout error or a reply that blew the latency objective.
-  const bool miss = captured.code == error_code::kTimeout ||
-                    (config_.slo_ms > 0.0 && total_ms > config_.slo_ms);
-  const bool good = captured.ok && !miss;
-
-  if (scoped) {
-    const auto it = shard.tenants.find(captured.tenant);
-    if (it != shard.tenants.end()) {
-      Tenant& tenant = *it->second;
-      ++tenant.slo_total;
-      if (good) ++tenant.slo_good;
-      if (miss) ++tenant.deadline_misses;
-      tenant.slo_windows.record(ms_between(started_, finished), good);
-    }
-  }
-  if (miss) obs::count(obs::metric::kSvcDeadlineMisses);
-
-  {
-    const support::MutexLock stats(stats_mutex_);
-    if (miss) ++deadline_misses_;
-    if (slowest_.size() < kTailCapacity ||
-        total_ms > slowest_.back().total_ms) {
-      const auto pos = std::upper_bound(
-          slowest_.begin(), slowest_.end(), total_ms,
-          [](double value, const CapturedRequest& entry) {
-            return value > entry.total_ms;
-          });
-      slowest_.insert(pos, captured);
-      if (slowest_.size() > kTailCapacity) slowest_.pop_back();
-    }
-    if (!captured.ok) {
-      errored_.push_back(captured);
-      if (errored_.size() > kTailCapacity) errored_.pop_front();
-    }
-  }
-
-  // Structured log events; no-ops without an installed Logger.
-  if (!captured.ok) {
-    JsonValue fields;
-    fields.set("op", captured.op);
-    fields.set("code", captured.code);
-    fields.set("total_ms", total_ms);
-    obs::log_event(obs::LogLevel::kWarn, obs::metric::kLogSvcRequestError,
-                   pending.rid, captured.tenant, std::move(fields));
-  } else if (config_.slow_ms > 0.0 && total_ms >= config_.slow_ms) {
-    JsonValue fields;
-    fields.set("op", captured.op);
-    fields.set("total_ms", total_ms);
-    fields.set("queue_wait_ms", queue_wait_ms);
-    if (!captured.path.empty()) fields.set("path", captured.path);
-    obs::log_event(obs::LogLevel::kWarn, obs::metric::kLogSvcSlowRequest,
-                   pending.rid, captured.tenant, std::move(fields));
-  }
-}
-
-JsonValue Service::tail_json() {
-  const auto entry_json = [](const CapturedRequest& entry) {
-    JsonValue node;
-    node.set("rid", static_cast<std::int64_t>(entry.rid));
-    if (!entry.op.empty()) node.set("op", entry.op);
-    if (!entry.tenant.empty()) node.set("tenant", entry.tenant);
-    if (!entry.tag.empty()) node.set("tag", entry.tag);
-    node.set("ok", entry.ok);
-    if (!entry.code.empty()) node.set("code", entry.code);
-    if (!entry.path.empty()) node.set("path", entry.path);
-    node.set("enqueued_at_ms", entry.enqueued_at_ms);
-    node.set("total_ms", entry.total_ms);
-    JsonValue::Array spans;
-    JsonValue wait;
-    wait.set("name", std::string(obs::metric::kEventSvcQueueWait));
-    wait.set("at_ms", entry.enqueued_at_ms);
-    wait.set("ms", entry.queue_wait_ms);
-    spans.push_back(std::move(wait));
-    JsonValue process;
-    process.set("name", std::string(obs::metric::kPhaseSvcBatch));
-    process.set("at_ms", entry.enqueued_at_ms + entry.queue_wait_ms);
-    process.set("ms", std::max(entry.total_ms - entry.queue_wait_ms, 0.0));
-    spans.push_back(std::move(process));
-    node.set("spans", JsonValue(std::move(spans)));
-    return node;
-  };
-  const support::MutexLock stats(stats_mutex_);
-  JsonValue payload;
-  JsonValue::Array slowest;
-  slowest.reserve(slowest_.size());
-  for (const CapturedRequest& entry : slowest_) {
-    slowest.push_back(entry_json(entry));
-  }
-  payload.set("slowest", JsonValue(std::move(slowest)));
-  JsonValue::Array errors;
-  errors.reserve(errored_.size());
-  for (const CapturedRequest& entry : errored_) {
-    errors.push_back(entry_json(entry));
-  }
-  payload.set("errors", JsonValue(std::move(errors)));
-  payload.set("capacity", kTailCapacity);
-  return payload;
-}
-
-JsonValue Service::slo_json() {
-  const double now_ms = ms_between(started_, Clock::now());
-  const double budget = slo_budget();
-  JsonValue payload;
-  payload.set("objective", config_.slo_objective);
-  payload.set("slo_ms", config_.slo_ms);
-  JsonValue::Array tenants;
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    assert_turn_held(shard);
-    for (const auto& [name, tenant] : shard.tenants) {
-      JsonValue entry;
-      entry.set("tenant", name);
-      entry.set("requests", tenant->slo_total);
-      entry.set("good", tenant->slo_good);
-      entry.set("deadline_misses", tenant->deadline_misses);
-      const double lifetime_miss =
-          tenant->slo_total == 0
-              ? 0.0
-              : static_cast<double>(tenant->slo_total - tenant->slo_good) /
-                    static_cast<double>(tenant->slo_total);
-      entry.set("budget_consumed", lifetime_miss / budget);
-      entry.set("burn_1m", tenant->slo_windows.miss_ratio(
-                               now_ms, SloWindows::kBuckets1m) /
-                               budget);
-      entry.set("burn_5m", tenant->slo_windows.miss_ratio(
-                               now_ms, SloWindows::kBuckets5m) /
-                               budget);
-      entry.set("burn_30m", tenant->slo_windows.miss_ratio(
-                                now_ms, SloWindows::kBuckets30m) /
-                                budget);
-      tenants.push_back(std::move(entry));
-    }
-  }
-  payload.set("tenants", JsonValue(std::move(tenants)));
-  return payload;
-}
-
 // The constituent turn locks live behind a dynamic vector the analysis
 // cannot enumerate, so the bodies are unanalyzed; the attributes on the
 // declarations (acquire/release of the all_turns_ phantom) carry the
@@ -537,7 +354,8 @@ void Service::redivide_pool_locked() {
       order.push_back(tenant.get());
     }
   }
-  const std::vector<double> slices = policy_->divide(pool_units(), demands);
+  const std::vector<double> slices =
+      policy_->divide(pool_units(config_), demands);
   for (std::size_t i = 0; i < order.size(); ++i) {
     Tenant& tenant = *order[i];
     tenant.slice_units = slices[i];
@@ -546,9 +364,7 @@ void Service::redivide_pool_locked() {
         std::floor(slices[i] / static_cast<double>(config_.num_servers)));
     tenant.state.set_solve_capacity(std::max<util::Resource>(1, per_server));
   }
-  obs::count(obs::metric::kSvcTenantRedivides);
-  const support::MutexLock stats(stats_mutex_);
-  ++pool_redivides_;
+  telemetry_.redivided();
 }
 
 JsonValue Service::tenant_admin(const Request& request) {
@@ -558,8 +374,6 @@ JsonValue Service::tenant_admin(const Request& request) {
   switch (request.op) {
     case Op::kTenantCreate: {
       if (home.tenants.find(name) != home.tenants.end()) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kTenantExists,
                                 "tenant '" + name + "' already exists",
                                 op_name(request.op), request.tag);
@@ -575,11 +389,7 @@ JsonValue Service::tenant_admin(const Request& request) {
       home.tenants.emplace(name, std::move(tenant));
       policy_->on_tenant_created(
           name, request.credits.value_or(config_.karma_opening_credits));
-      obs::count(obs::metric::kSvcTenantCreates);
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++tenant_creates_;
-      }
+      telemetry_.tenant_changed(request.op);
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
       reply.set("tenant", name);
@@ -593,8 +403,6 @@ JsonValue Service::tenant_admin(const Request& request) {
     case Op::kTenantUpdate: {
       Tenant* tenant = find_tenant(name);
       if (tenant == nullptr) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kTenantNotFound,
                                 "no tenant '" + name + "'",
                                 op_name(request.op), request.tag);
@@ -602,11 +410,7 @@ JsonValue Service::tenant_admin(const Request& request) {
       if (request.weight) tenant->quota.weight = *request.weight;
       if (request.quota) tenant->quota.quota_units = *request.quota;
       if (request.max_threads) tenant->quota.max_threads = *request.max_threads;
-      obs::count(obs::metric::kSvcTenantUpdates);
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++tenant_updates_;
-      }
+      telemetry_.tenant_changed(request.op);
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
       reply.set("tenant", name);
@@ -618,16 +422,12 @@ JsonValue Service::tenant_admin(const Request& request) {
     }
     case Op::kTenantDelete: {
       if (name == kDefaultTenant) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kBadTenant,
                                 "the default tenant cannot be deleted",
                                 op_name(request.op), request.tag);
       }
       const auto it = home.tenants.find(name);
       if (it == home.tenants.end()) {
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
         return make_error_reply(error_code::kTenantNotFound,
                                 "no tenant '" + name + "'",
                                 op_name(request.op), request.tag);
@@ -635,11 +435,7 @@ JsonValue Service::tenant_admin(const Request& request) {
       const std::size_t threads_removed = it->second->state.num_threads();
       home.tenants.erase(it);
       policy_->on_tenant_deleted(name);
-      obs::count(obs::metric::kSvcTenantDeletes);
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++tenant_deletes_;
-      }
+      telemetry_.tenant_changed(request.op);
       redivide_pool_locked();
       JsonValue reply = make_ok_reply(request.op, request.tag);
       reply.set("tenant", name);
@@ -653,47 +449,30 @@ JsonValue Service::tenant_admin(const Request& request) {
   }
 }
 
-JsonValue Service::tenant_list_json() {
-  JsonValue::Array tenants;
-  std::size_t count = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
+ServiceSnapshot Service::snapshot() {
+  const AllShardsTurnLock guards(*this);
+  ServiceSnapshot snapshot;
+  const Clock::time_point now = Clock::now();
+  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
     assert_turn_held(shard);
     for (const auto& [name, tenant] : shard.tenants) {
-      JsonValue entry;
-      entry.set("tenant", name);
-      entry.set("shard", s);
-      entry.set("weight", tenant->quota.weight);
-      entry.set("quota_units", tenant->quota.quota_units);
-      entry.set("max_threads", tenant->quota.max_threads);
-      entry.set("threads", tenant->state.num_threads());
-      entry.set("slice_units", tenant->slice_units);
-      entry.set("demand_units", tenant->demand_units);
-      entry.set("solve_capacity", tenant->state.solve_capacity());
-      entry.set("credits", policy_->credits(name));
-      tenants.push_back(std::move(entry));
-      ++count;
+      TenantRow row = telemetry_.tenant_row(*tenant, now);
+      row.credits = policy_->credits(name);
+      snapshot.threads += row.threads;
+      snapshot.version += tenant->state.version();
+      snapshot.tenants.push_back(std::move(row));
     }
+    const support::MutexLock lock(shard.queue_mutex);
+    snapshot.queue_depth += shard.queue.size();
   }
-  JsonValue payload;
-  payload.set("policy", fairness_policy_name(policy_->kind()));
-  payload.set("pool_units", pool_units());
-  payload.set("tenants", JsonValue(std::move(tenants)));
-  payload.set("tenant_count", count);
-  return payload;
+  return snapshot;
 }
 
 std::vector<Service::Outgoing> Service::process_batch(
     Shard& shard, std::vector<Pending> batch) {
   const obs::ScopedPhase phase(obs::metric::kPhaseSvcBatch);
-  obs::count(obs::metric::kSvcBatches);
-  obs::sample(obs::metric::kSampleSvcBatchSize,
-              static_cast<double>(batch.size()));
-  {
-    const support::MutexLock stats(stats_mutex_);
-    ++batches_;
-    batch_size_.sample(static_cast<double>(batch.size()));
-  }
+  telemetry_.batch(batch.size());
 
   std::vector<Outgoing> out;
   out.reserve(batch.size());
@@ -713,53 +492,38 @@ std::vector<Service::Outgoing> Service::process_batch(
     const obs::TraceRidScope rid_scope(pending.rid);
     obs::span_ending_now(obs::metric::kEventSvcQueueWait,
                          ms_between(pending.enqueued, started));
+    const auto error = [&request](std::string_view code,
+                                  const std::string& message) {
+      return make_error_reply(code, message, op_name(request.op),
+                              request.tag);
+    };
     JsonValue reply;
     try {
       if (pending.error_reply) {
-        // Pre-failed at parse time; counted when it was enqueued.
         reply = std::move(*pending.error_reply);
       } else if (shutdown_requested()) {
-        reply = make_error_reply(error_code::kShuttingDown,
-                                 "service is shutting down",
-                                 op_name(request.op), request.tag);
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
+        reply = error(error_code::kShuttingDown, "service is shutting down");
       } else if (started > pending.deadline) {
-        reply = make_error_reply(error_code::kTimeout,
-                                 "deadline expired before processing",
-                                 op_name(request.op), request.tag);
-        obs::count(obs::metric::kSvcTimeouts);
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
-        ++timeouts_;
-      } else if (tenant_scoped(request.op)) {
-        const std::string_view name = tenant_name(request);
+        reply = error(error_code::kTimeout,
+                      "deadline expired before processing");
+      } else if (const std::string_view name = addressed_tenant(pending);
+                 !name.empty()) {
         const auto it = shard.tenants.find(name);
         Tenant* tenant =
             it == shard.tenants.end() ? nullptr : it->second.get();
         if (tenant == nullptr) {
-          reply = make_error_reply(
-              error_code::kTenantNotFound,
-              "no tenant '" + std::string(name) + "'",
-              op_name(request.op), request.tag);
-          const support::MutexLock stats(stats_mutex_);
-          ++errors_total_;
+          reply = error(error_code::kTenantNotFound,
+                        "no tenant '" + std::string(name) + "'");
         } else {
-          ++tenant->requests;
           switch (request.op) {
             case Op::kAddThread: {
               if (tenant->quota.max_threads > 0 &&
                   static_cast<std::int64_t>(tenant->state.num_threads()) >=
                       tenant->quota.max_threads) {
-                reply = make_error_reply(
-                    error_code::kQuotaExceeded,
-                    "tenant '" + std::string(name) + "' is at its " +
-                        std::to_string(tenant->quota.max_threads) +
-                        "-thread quota",
-                    op_name(request.op), request.tag);
-                ++tenant->errors;
-                const support::MutexLock stats(stats_mutex_);
-                ++errors_total_;
+                reply = error(error_code::kQuotaExceeded,
+                              "tenant '" + std::string(name) + "' is at its " +
+                                  std::to_string(tenant->quota.max_threads) +
+                                  "-thread quota");
                 break;
               }
               const ThreadId id = tenant->state.add_thread(request.utility);
@@ -780,13 +544,9 @@ std::vector<Service::Outgoing> Service::process_batch(
                   reply.set("tenant", request.tenant);
                 }
               } else {
-                reply = make_error_reply(
-                    error_code::kNotFound,
-                    "no thread with id " + std::to_string(*request.id),
-                    op_name(request.op), request.tag);
-                ++tenant->errors;
-                const support::MutexLock stats(stats_mutex_);
-                ++errors_total_;
+                reply = error(error_code::kNotFound,
+                              "no thread with id " +
+                                  std::to_string(*request.id));
               }
               break;
             }
@@ -804,13 +564,9 @@ std::vector<Service::Outgoing> Service::process_batch(
                   reply.set("tenant", request.tenant);
                 }
               } else {
-                reply = make_error_reply(
-                    error_code::kNotFound,
-                    "no thread with id " + std::to_string(*request.id),
-                    op_name(request.op), request.tag);
-                ++tenant->errors;
-                const support::MutexLock stats(stats_mutex_);
-                ++errors_total_;
+                reply = error(error_code::kNotFound,
+                              "no thread with id " +
+                                  std::to_string(*request.id));
               }
               break;
             }
@@ -828,28 +584,28 @@ std::vector<Service::Outgoing> Service::process_batch(
         }
       } else {
         switch (request.op) {
-          case Op::kStats: {
-            const AllShardsTurnLock guards(*this);
+          case Op::kStats:
+          case Op::kMetrics:
+          case Op::kSlo:
+          case Op::kTenantList: {
+            // Rendered after the snapshot released the other turn locks.
+            const ServiceSnapshot rows = snapshot();
             reply = make_ok_reply(request.op, request.tag);
-            merge_into(reply, stats_json());
-            break;
-          }
-          case Op::kMetrics: {
-            const AllShardsTurnLock guards(*this);
-            reply = make_ok_reply(request.op, request.tag);
-            reply.set("content_type", "text/plain; version=0.0.4");
-            reply.set("body", metrics_text());
+            if (request.op == Op::kMetrics) {
+              reply.set("content_type", "text/plain; version=0.0.4");
+              reply.set("body", telemetry_.metrics_text(rows));
+            } else if (request.op == Op::kStats) {
+              merge_into(reply, telemetry_.stats_json(rows));
+            } else if (request.op == Op::kSlo) {
+              merge_into(reply, telemetry_.slo_json(rows));
+            } else {
+              merge_into(reply, tenant_list_json(rows, config_));
+            }
             break;
           }
           case Op::kTrace: {
             reply = make_ok_reply(request.op, request.tag);
-            merge_into(reply, tail_json());
-            break;
-          }
-          case Op::kSlo: {
-            const AllShardsTurnLock guards(*this);
-            reply = make_ok_reply(request.op, request.tag);
-            merge_into(reply, slo_json());
+            merge_into(reply, telemetry_.tail_json());
             break;
           }
           case Op::kShutdown: {
@@ -872,41 +628,34 @@ std::vector<Service::Outgoing> Service::process_batch(
             reply = tenant_admin(request);
             break;
           }
-          case Op::kTenantList: {
-            const AllShardsTurnLock guards(*this);
-            reply = make_ok_reply(request.op, request.tag);
-            merge_into(reply, tenant_list_json());
-            break;
-          }
           default:
             break;
         }
       }
-    } catch (const std::exception& error) {
-      reply = make_error_reply(error_code::kInternal, error.what(),
-                               op_name(request.op), request.tag);
+    } catch (const std::exception& failure) {
+      reply = error(error_code::kInternal, failure.what());
       obs::count(obs::metric::kSvcInternalErrors);
-      const support::MutexLock stats(stats_mutex_);
-      ++errors_total_;
     }
-    reply.set("rid", static_cast<std::int64_t>(pending.rid));
     out.push_back(Outgoing{pending.reply, std::move(reply)});
   }
 
+  /// Answers every solve in `slots` with the same error.
+  const auto fail_solves = [&out, &batch](
+                               const std::vector<std::size_t>& slots,
+                               std::string_view code,
+                               const std::string& message) {
+    for (const std::size_t slot : slots) {
+      out[slot].value = make_error_reply(code, message, op_name(Op::kSolve),
+                                         batch[slot].request.tag);
+    }
+  };
   for (auto& [name, group] : solve_groups) {
     const auto it = shard.tenants.find(name);
     Tenant* tenant = it == shard.tenants.end() ? nullptr : it->second.get();
     if (tenant == nullptr) {
       // Deleted by an admin op later in this very batch.
-      for (const std::size_t slot : group.slots) {
-        out[slot].value = make_error_reply(
-            error_code::kTenantNotFound, "no tenant '" + name + "'",
-            op_name(Op::kSolve), batch[slot].request.tag);
-        out[slot].value.set(
-            "rid", static_cast<std::int64_t>(batch[slot].rid));
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
-      }
+      fail_solves(group.slots, error_code::kTenantNotFound,
+                  "no tenant '" + name + "'");
       continue;
     }
     // The coalesced solve serves every slot in the group; its solver
@@ -918,31 +667,9 @@ std::vector<Service::Outgoing> Service::process_batch(
       ServiceSolveResult solved =
           tenant->solver.solve(tenant->state, group.force_full);
       const double solve_ms = ms_between(solve_start, Clock::now());
-      switch (solved.path) {
-        case SolvePath::kCached:
-          obs::instant(obs::metric::kEventSvcPathCached);
-          break;
-        case SolvePath::kWarm:
-          obs::instant(obs::metric::kEventSvcPathWarm);
-          break;
-        case SolvePath::kFull:
-          obs::instant(obs::metric::kEventSvcPathFull);
-          break;
-      }
-      ++tenant->solves_by_path[static_cast<std::size_t>(solved.path)];
-      {
-        const support::MutexLock stats(stats_mutex_);
-        ++solves_by_path_[static_cast<std::size_t>(solved.path)];
-        solves_coalesced_ +=
-            static_cast<std::int64_t>(group.slots.size()) - 1;
-        migrations_total_ += static_cast<std::int64_t>(solved.migrations);
-        if (solved.certificate.ok()) {
-          ++certificates_pass_;
-        } else {
-          ++certificates_fail_;
-        }
-        solve_latency_ms_.sample(solve_ms);
-      }
+      ++tenant->counters.solves_by_path[static_cast<std::size_t>(solved.path)];
+      telemetry_.solved(solved.path, group.slots.size(), solved.migrations,
+                        solved.certificate.ok(), solve_ms);
       const JsonValue payload = solve_payload(solved, solve_ms);
       for (const std::size_t slot : group.slots) {
         JsonValue reply = make_ok_reply(Op::kSolve, batch[slot].request.tag);
@@ -950,27 +677,30 @@ std::vector<Service::Outgoing> Service::process_batch(
         if (!batch[slot].request.tenant.empty()) {
           reply.set("tenant", batch[slot].request.tenant);
         }
-        reply.set("rid", static_cast<std::int64_t>(batch[slot].rid));
         out[slot].value = std::move(reply);
       }
     } catch (const std::exception& error) {
       obs::count(obs::metric::kSvcInternalErrors);
-      for (const std::size_t slot : group.slots) {
-        out[slot].value =
-            make_error_reply(error_code::kInternal, error.what(),
-                             op_name(Op::kSolve), batch[slot].request.tag);
-        out[slot].value.set(
-            "rid", static_cast<std::int64_t>(batch[slot].rid));
-        const support::MutexLock stats(stats_mutex_);
-        ++errors_total_;
-      }
+      fail_solves(group.slots, error_code::kInternal, error.what());
     }
   }
 
+  // The single accounting point: every request in the batch is booked
+  // once, globally and — when it addressed a live tenant — on the tenant.
   const Clock::time_point finished = Clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    record_latency(batch[i], finished);
-    finish_request(shard, batch[i], out[i].value, started, finished);
+    const Pending& pending = batch[i];
+    out[i].value.set("rid", static_cast<std::int64_t>(pending.rid));
+    const std::string_view tenant = addressed_tenant(pending);
+    const auto it = shard.tenants.find(tenant);
+    telemetry_.finish(
+        {.rid = pending.rid,
+         .tenant = tenant,
+         .booked = it == shard.tenants.end() ? nullptr : it->second.get(),
+         .enqueued = pending.enqueued,
+         .started = started,
+         .finished = finished},
+        out[i].value);
   }
   return out;
 }
@@ -1007,308 +737,6 @@ JsonValue Service::solve_payload(const ServiceSolveResult& solved,
   }
   payload.set("assignment", JsonValue(std::move(assignment)));
   return payload;
-}
-
-std::size_t Service::total_queue_depth() {
-  std::size_t depth = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const support::MutexLock lock(shard->queue_mutex);
-    depth += shard->queue.size();
-  }
-  return depth;
-}
-
-JsonValue Service::stats_json() {
-  const std::size_t depth = total_queue_depth();
-
-  std::size_t threads = 0;
-  std::uint64_t version = 0;
-  std::size_t tenant_count = 0;
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    assert_turn_held(shard);
-    for (const auto& [name, tenant] : shard.tenants) {
-      threads += tenant->state.num_threads();
-      version += tenant->state.version();
-      ++tenant_count;
-    }
-  }
-
-  const auto latency_json = [](const obs::Histogram& histogram) {
-    JsonValue node;
-    node.set("count", histogram.count());
-    if (!histogram.empty()) {
-      node.set("p50_ms", histogram.quantile(0.50));
-      node.set("p90_ms", histogram.quantile(0.90));
-      node.set("p99_ms", histogram.quantile(0.99));
-      node.set("p999_ms", histogram.quantile(0.999));
-      node.set("mean_ms", histogram.mean());
-      node.set("max_ms", histogram.max());
-    }
-    return node;
-  };
-
-  const support::MutexLock stats(stats_mutex_);
-  JsonValue payload;
-  payload.set("threads", threads);
-  payload.set("servers", config_.num_servers);
-  payload.set("capacity", config_.capacity);
-  payload.set("version", version);
-  payload.set("tenants", tenant_count);
-  payload.set("shards", shards_.size());
-  payload.set("policy", fairness_policy_name(policy_->kind()));
-  payload.set("pool_units", pool_units());
-  payload.set("queue_depth", depth);
-  payload.set("queue_peak", queue_peak_);
-  payload.set("requests_total", requests_total_);
-  JsonValue ops;
-  for (const Op op :
-       {Op::kAddThread, Op::kRemoveThread, Op::kUpdateUtility, Op::kSolve,
-        Op::kStats, Op::kMetrics, Op::kTrace, Op::kSlo, Op::kShutdown,
-        Op::kTenantCreate, Op::kTenantUpdate, Op::kTenantDelete,
-        Op::kTenantList}) {
-    ops.set(std::string(op_name(op)),
-            op_counts_[static_cast<std::size_t>(op)]);
-  }
-  payload.set("requests", std::move(ops));
-  payload.set("errors_total", errors_total_);
-  payload.set("timeouts", timeouts_);
-  payload.set("deadline_misses", deadline_misses_);
-  payload.set("batches", batches_);
-  JsonValue batching;
-  batching.set("mean_size", batch_size_.mean());
-  batching.set("max_size", batch_size_.max());
-  payload.set("batching", std::move(batching));
-  JsonValue solves;
-  solves.set("full",
-             solves_by_path_[static_cast<std::size_t>(SolvePath::kFull)]);
-  solves.set("warm",
-             solves_by_path_[static_cast<std::size_t>(SolvePath::kWarm)]);
-  solves.set("cached",
-             solves_by_path_[static_cast<std::size_t>(SolvePath::kCached)]);
-  solves.set("coalesced", solves_coalesced_);
-  payload.set("solves", std::move(solves));
-  payload.set("migrations", migrations_total_);
-  JsonValue tenant_ops;
-  tenant_ops.set("creates", tenant_creates_);
-  tenant_ops.set("updates", tenant_updates_);
-  tenant_ops.set("deletes", tenant_deletes_);
-  tenant_ops.set("redivides", pool_redivides_);
-  payload.set("tenant_ops", std::move(tenant_ops));
-  payload.set("request_latency", latency_json(request_latency_ms_));
-  payload.set("solve_latency", latency_json(solve_latency_ms_));
-  return payload;
-}
-
-std::string Service::metrics_text() {
-  const std::size_t depth = total_queue_depth();
-
-  std::string out;
-  out.reserve(8192);
-  obs::prometheus_gauge(out, "aa_uptime_seconds",
-                        ms_between(started_, Clock::now()) / 1e3);
-
-  // Per-tenant labeled families first (tenant ids are [A-Za-z0-9_.-], so
-  // label values never need escaping). Cardinality is bounded by the live
-  // tenant count — docs/OBSERVABILITY.md "Per-tenant labels".
-  std::size_t threads = 0;
-  std::uint64_t version = 0;
-  std::size_t tenant_count = 0;
-  struct Row {
-    std::string labels;
-    const Tenant* tenant = nullptr;
-  };
-  std::vector<Row> rows;
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    assert_turn_held(shard);
-    for (const auto& [name, tenant] : shard.tenants) {
-      threads += tenant->state.num_threads();
-      version += tenant->state.version();
-      ++tenant_count;
-      rows.push_back(Row{"tenant=\"" + name + "\"", tenant.get()});
-    }
-  }
-  obs::prometheus_gauge(out, "aa_svc_tenants",
-                        static_cast<double>(tenant_count));
-  obs::prometheus_gauge(out, "aa_svc_shards",
-                        static_cast<double>(shards_.size()));
-  obs::prometheus_header(out, "aa_svc_tenant_requests_total", "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_requests_total", row.labels,
-                           row.tenant->requests);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_errors_total", "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_errors_total", row.labels,
-                           row.tenant->errors);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_solves_total", "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_solves_total", row.labels + ",path=\"full\"",
-        row.tenant->solves_by_path[static_cast<std::size_t>(
-            SolvePath::kFull)]);
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_solves_total", row.labels + ",path=\"warm\"",
-        row.tenant->solves_by_path[static_cast<std::size_t>(
-            SolvePath::kWarm)]);
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_solves_total", row.labels + ",path=\"cached\"",
-        row.tenant->solves_by_path[static_cast<std::size_t>(
-            SolvePath::kCached)]);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_threads", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(
-        out, "aa_svc_tenant_threads", row.labels,
-        static_cast<double>(row.tenant->state.num_threads()));
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_slice_units", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_slice_units", row.labels,
-                           row.tenant->slice_units);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_demand_units", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_demand_units", row.labels,
-                           row.tenant->demand_units);
-  }
-  obs::prometheus_header(out, "aa_svc_tenant_credits", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_credits", row.labels,
-                           policy_->credits(row.tenant->name));
-  }
-
-  // SLO accounting (docs/OBSERVABILITY.md "Request tracing, structured
-  // logs & SLOs"): deadline misses, lifetime error-budget consumption,
-  // and multi-window burn rates per tenant.
-  const double slo_now_ms = ms_between(started_, Clock::now());
-  const double budget = slo_budget();
-  obs::prometheus_header(out, "aa_svc_tenant_deadline_miss_total",
-                         "counter");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(out, "aa_svc_tenant_deadline_miss_total",
-                           row.labels, row.tenant->deadline_misses);
-  }
-  obs::prometheus_header(out, "aa_svc_slo_budget_ratio", "gauge");
-  for (const Row& row : rows) {
-    const double lifetime_miss =
-        row.tenant->slo_total == 0
-            ? 0.0
-            : static_cast<double>(row.tenant->slo_total -
-                                  row.tenant->slo_good) /
-                  static_cast<double>(row.tenant->slo_total);
-    obs::prometheus_sample(out, "aa_svc_slo_budget_ratio", row.labels,
-                           lifetime_miss / budget);
-  }
-  obs::prometheus_header(out, "aa_svc_slo_burn_rate", "gauge");
-  for (const Row& row : rows) {
-    obs::prometheus_sample(
-        out, "aa_svc_slo_burn_rate", row.labels + ",window=\"1m\"",
-        row.tenant->slo_windows.miss_ratio(slo_now_ms,
-                                           SloWindows::kBuckets1m) /
-            budget);
-    obs::prometheus_sample(
-        out, "aa_svc_slo_burn_rate", row.labels + ",window=\"5m\"",
-        row.tenant->slo_windows.miss_ratio(slo_now_ms,
-                                           SloWindows::kBuckets5m) /
-            budget);
-    obs::prometheus_sample(
-        out, "aa_svc_slo_burn_rate", row.labels + ",window=\"30m\"",
-        row.tenant->slo_windows.miss_ratio(slo_now_ms,
-                                           SloWindows::kBuckets30m) /
-            budget);
-  }
-
-  const support::MutexLock stats(stats_mutex_);
-  obs::prometheus_counter(out, "aa_svc_requests_total", requests_total_);
-  obs::prometheus_header(out, "aa_svc_requests_by_op_total", "counter");
-  for (const Op op :
-       {Op::kAddThread, Op::kRemoveThread, Op::kUpdateUtility, Op::kSolve,
-        Op::kStats, Op::kMetrics, Op::kTrace, Op::kSlo, Op::kShutdown,
-        Op::kTenantCreate, Op::kTenantUpdate, Op::kTenantDelete,
-        Op::kTenantList}) {
-    const std::string labels =
-        "op=\"" + std::string(op_name(op)) + "\"";
-    obs::prometheus_sample(out, "aa_svc_requests_by_op_total", labels,
-                           op_counts_[static_cast<std::size_t>(op)]);
-  }
-  obs::prometheus_counter(out, "aa_svc_errors_total", errors_total_);
-  obs::prometheus_counter(out, "aa_svc_timeouts_total", timeouts_);
-  obs::prometheus_counter(out, "aa_svc_deadline_miss_total",
-                          deadline_misses_);
-  obs::prometheus_counter(out, "aa_svc_batches_total", batches_);
-  obs::prometheus_counter(out, "aa_svc_solves_coalesced_total",
-                          solves_coalesced_);
-  obs::prometheus_header(out, "aa_svc_solves_total", "counter");
-  obs::prometheus_sample(
-      out, "aa_svc_solves_total", "path=\"full\"",
-      solves_by_path_[static_cast<std::size_t>(SolvePath::kFull)]);
-  obs::prometheus_sample(
-      out, "aa_svc_solves_total", "path=\"warm\"",
-      solves_by_path_[static_cast<std::size_t>(SolvePath::kWarm)]);
-  obs::prometheus_sample(
-      out, "aa_svc_solves_total", "path=\"cached\"",
-      solves_by_path_[static_cast<std::size_t>(SolvePath::kCached)]);
-  obs::prometheus_counter(out, "aa_svc_migrations_total", migrations_total_);
-  obs::prometheus_header(out, "aa_svc_certificates_total", "counter");
-  obs::prometheus_sample(out, "aa_svc_certificates_total",
-                         "verdict=\"pass\"", certificates_pass_);
-  obs::prometheus_sample(out, "aa_svc_certificates_total",
-                         "verdict=\"fail\"", certificates_fail_);
-  obs::prometheus_counter(out, "aa_svc_tenant_creates_total",
-                          tenant_creates_);
-  obs::prometheus_counter(out, "aa_svc_tenant_updates_total",
-                          tenant_updates_);
-  obs::prometheus_counter(out, "aa_svc_tenant_deletes_total",
-                          tenant_deletes_);
-  obs::prometheus_counter(out, "aa_svc_pool_redivides_total",
-                          pool_redivides_);
-  obs::prometheus_gauge(out, "aa_svc_queue_depth",
-                        static_cast<double>(depth));
-  obs::prometheus_gauge(out, "aa_svc_queue_peak",
-                        static_cast<double>(queue_peak_));
-  obs::prometheus_gauge(out, "aa_svc_threads",
-                        static_cast<double>(threads));
-  obs::prometheus_gauge(out, "aa_svc_state_version",
-                        static_cast<double>(version));
-  obs::prometheus_histogram(out, "aa_svc_request_latency_ms",
-                            request_latency_ms_);
-  obs::prometheus_summary(out, "aa_svc_request_latency_quantiles_ms",
-                          request_latency_ms_);
-  obs::prometheus_histogram(out, "aa_svc_solve_latency_ms",
-                            solve_latency_ms_);
-  obs::prometheus_summary(out, "aa_svc_solve_latency_quantiles_ms",
-                          solve_latency_ms_);
-  obs::prometheus_histogram(out, "aa_svc_batch_size", batch_size_);
-  obs::prometheus_histogram(out, "aa_svc_queue_depth_samples", queue_depth_);
-
-  // Session-side drop accounting, so truncated telemetry is visible from
-  // the same scrape that would be misled by it.
-  if (const obs::Session* session = obs::Session::current()) {
-    const obs::Metrics session_metrics = session->metrics();
-    obs::prometheus_counter(
-        out, "aa_obs_trace_dropped_total",
-        session_metrics.counter(obs::metric::kObsTraceDropped));
-    obs::prometheus_counter(
-        out, "aa_obs_histogram_dropped_total",
-        session_metrics.counter(obs::metric::kObsHistogramDropped));
-    obs::prometheus_counter(
-        out, "aa_obs_certificates_dropped_total",
-        session_metrics.counter(obs::metric::kObsCertificatesDropped));
-    obs::prometheus_counter(
-        out, "aa_obs_log_dropped_total",
-        session_metrics.counter(obs::metric::kObsLogDropped));
-    obs::prometheus_header(out, "aa_obs_trace_ring_dropped_total", "counter");
-    for (const obs::TraceRingInfo& ring : session->trace_rings()) {
-      const std::string labels =
-          "ring=\"" + std::to_string(ring.tid) + "\"";
-      obs::prometheus_sample(out, "aa_obs_trace_ring_dropped_total", labels,
-                             ring.dropped);
-    }
-  }
-  return out;
 }
 
 }  // namespace aa::svc

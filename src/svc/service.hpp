@@ -41,15 +41,10 @@
 //     carrying the 0.828-approximation certificate verdict for that
 //     tenant's sliced instance.
 //
-// The service keeps its own counters and log2-bucketed latency histograms
-// (obs/histogram.hpp) behind stats_mutex_ — surfaced as quantiles by the
-// `stats` op and as a Prometheus text exposition by the `metrics` op
-// (metrics_text, including per-tenant labeled families) — and mirrors
-// them into the installed aa::obs session (svc/* counters, svc/batch +
-// svc/solve phase timers, queue-depth / batch-size / request-latency
-// histogram samples, queue-wait spans and warm-start path instants on the
-// trace rings), so `aa_serve --metrics` and `--trace-out` export them
-// through the session paths.
+// Statistics live in svc::Telemetry (svc/telemetry.hpp), which accounts
+// each finished request once and renders the read verbs from one snapshot
+// of every tenant. The service itself adds the svc/batch and svc/solve
+// phase timers and queue-wait spans on the obs trace rings.
 //
 // Lock hierarchy (machine-checked through the support/sync.hpp
 // annotations under Clang -Werror=thread-safety; the table in
@@ -57,12 +52,14 @@
 //
 //   shard.turn_mutex       shard 0's first, then the others ascending
 //     -> shard.queue_mutex (AllShardsTurnLock; only the shard-0 worker
-//       -> stats_mutex_     ever holds more than one turn lock)
+//                           ever holds more than one turn lock)
+//   Telemetry::mutex_      leaf: taken only inside Telemetry's methods
 //   shard.deliver_mutex    independent: held alone while replies drain
 //
 // queue_mutex is also taken on its own by submit_line (producers never
-// touch a turn lock), and stats_mutex_ is a brief leaf taken from any
-// path. The inexpressible "every shard's turn lock" set is named by the
+// touch a turn lock), and no reply callback runs under it. The
+// Telemetry mutex nests under any of the others and nothing is acquired
+// under it. The inexpressible "every shard's turn lock" set is named by the
 // all_turns_ phantom capability: AllShardsTurnLock really locks the
 // other shards' turns and acquires the phantom, and the cross-shard
 // *_locked()/control helpers declare AA_REQUIRES(all_turns_).
@@ -79,13 +76,13 @@
 #include <string>
 #include <vector>
 
-#include "obs/histogram.hpp"
 #include "support/json.hpp"
 #include "support/sync.hpp"
 #include "support/thread_pool.hpp"
 #include "svc/fairness.hpp"
 #include "svc/instance_state.hpp"
 #include "svc/protocol.hpp"
+#include "svc/telemetry.hpp"
 #include "svc/tenant.hpp"
 #include "svc/warm_start.hpp"
 
@@ -126,6 +123,9 @@ struct ServiceConfig {
   double slo_objective = 0.999;
 };
 
+/// Capacity units the fairness policy divides: num_servers * capacity.
+[[nodiscard]] double pool_units(const ServiceConfig& config) noexcept;
+
 class Service {
  public:
   using ReplyFn = std::function<void(const std::string&)>;
@@ -154,7 +154,8 @@ class Service {
   /// trailing newline) is delivered through `reply`. Protocol errors are
   /// enqueued like any other request so replies keep request order; only
   /// queue overflow and post-shutdown submissions are answered inline
-  /// (they cannot join the queue by definition). Thread-safe.
+  /// (they cannot join the queue by definition), after every lock is
+  /// released. Thread-safe.
   void submit_line(const std::string& line, ReplyFn reply);
 
   /// Synchronous round trip (submit_line + wait); used by tests.
@@ -168,7 +169,9 @@ class Service {
   /// errored requests with their rid, tenant, outcome, and span chain.
   /// Served by the `trace` verb and dumped by aa_serve --slow-trace-out
   /// at shutdown. Thread-safe.
-  [[nodiscard]] support::JsonValue tail_json() AA_EXCLUDES(stats_mutex_);
+  [[nodiscard]] support::JsonValue tail_json() const {
+    return telemetry_.tail_json();
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -187,21 +190,6 @@ class Service {
     std::optional<support::JsonValue> error_reply;
   };
 
-  /// One tail-captured request (the K slowest / K last errored), with
-  /// everything needed to reconstruct its span chain for the `trace` verb.
-  struct CapturedRequest {
-    std::uint64_t rid = 0;
-    std::string op;
-    std::string tenant;
-    std::string tag;
-    std::string code;  ///< Error code; empty when the request succeeded.
-    std::string path;  ///< Solve path when the reply carried one.
-    double enqueued_at_ms = 0.0;  ///< Offset from service start.
-    double queue_wait_ms = 0.0;
-    double total_ms = 0.0;
-    bool ok = true;
-  };
-
   /// Rendered-later reply: the JSON tree plus its destination.
   struct Outgoing {
     ReplyFn reply;
@@ -215,7 +203,7 @@ class Service {
     // Guards `tenants` — cross-shard readers (stats/metrics/tenant_list)
     // and tenant churn take every shard's turn lock in ascending order
     // (AllShardsTurnLock + the all_turns_ phantom).
-    // Lock order: root — taken before queue_mutex and stats_mutex_.
+    // Lock order: root — taken before queue_mutex.
     support::Mutex turn_mutex;
     std::uint64_t next_batch_seq AA_GUARDED_BY(turn_mutex) = 0;
     // Ordered by tenant id: iteration feeds the fairness division and the
@@ -226,7 +214,7 @@ class Service {
         AA_GUARDED_BY(turn_mutex);
 
     // Lock order: after this shard's turn_mutex (pop_batch pops under a
-    // drain turn; submit_line takes it alone), before stats_mutex_.
+    // drain turn; submit_line takes it alone).
     support::Mutex queue_mutex AA_ACQUIRED_AFTER(turn_mutex);
     support::CondVar queue_cv;
     std::deque<Pending> queue AA_GUARDED_BY(queue_mutex);
@@ -240,12 +228,11 @@ class Service {
     std::uint64_t delivered_seq AA_GUARDED_BY(deliver_mutex) = 0;
   };
 
-  /// True for ops that address one tenant's state (routed by tenant id);
-  /// everything else is a control op routed to shard 0.
-  [[nodiscard]] static bool tenant_scoped(Op op) noexcept;
-  /// The tenant a request addresses (kDefaultTenant when unspecified).
-  [[nodiscard]] static std::string_view tenant_name(
-      const Request& request) noexcept;
+  /// The tenant whose state a parsed request addresses (kDefaultTenant
+  /// when it names none), routing it to that tenant's shard; empty for
+  /// control ops and unparseable lines, which go to shard 0.
+  [[nodiscard]] static std::string_view addressed_tenant(
+      const Pending& pending) noexcept;
 
   void worker_loop(std::size_t shard_index);
   /// Non-blocking pop of the next batch (plus bounded linger). Caller
@@ -296,34 +283,11 @@ class Service {
   /// Handles one tenant_* admin request.
   [[nodiscard]] support::JsonValue tenant_admin(const Request& request)
       AA_REQUIRES(all_turns_);
-  [[nodiscard]] support::JsonValue tenant_list_json()
-      AA_REQUIRES(all_turns_);
-
-  [[nodiscard]] support::JsonValue stats_json() AA_REQUIRES(all_turns_);
-  /// Per-tenant SLO accounting: deadline misses, lifetime error-budget
-  /// consumption, and 1m/5m/30m burn rates. Served by the `slo` verb.
-  [[nodiscard]] support::JsonValue slo_json() AA_REQUIRES(all_turns_);
-  /// Prometheus text-format exposition of the service counters, latency
-  /// histograms (+ quantile summaries), certificate verdicts, per-tenant
-  /// labeled families, uptime, and — when an obs session is installed —
-  /// its drop counters. Served by the `metrics` op.
-  [[nodiscard]] std::string metrics_text() AA_REQUIRES(all_turns_);
+  /// Every tenant's row and the totals, copied under AllShardsTurnLock.
+  /// Called by the shard-0 worker, which holds shard 0's turn.
+  [[nodiscard]] ServiceSnapshot snapshot() AA_EXCLUDES(all_turns_);
   [[nodiscard]] support::JsonValue solve_payload(
       const ServiceSolveResult& solved, double solve_ms) const;
-  void record_latency(const Pending& pending, Clock::time_point now)
-      AA_EXCLUDES(stats_mutex_);
-  /// Post-reply accounting for one finished request: per-tenant SLO
-  /// counters and windows (under the shard's turn lock, like every other
-  /// Tenant field), tail capture, and the slow-request / error structured
-  /// log events. `reply` is the built (not yet rendered) reply tree.
-  void finish_request(Shard& shard, const Pending& pending,
-                      const support::JsonValue& reply,
-                      Clock::time_point started, Clock::time_point finished)
-      AA_REQUIRES(shard.turn_mutex) AA_EXCLUDES(stats_mutex_);
-  /// Error budget (1 - slo_objective), floored so burn rates stay finite.
-  [[nodiscard]] double slo_budget() const noexcept;
-  [[nodiscard]] std::size_t total_queue_depth();
-  [[nodiscard]] double pool_units() const noexcept;
 
   ServiceConfig config_;
 
@@ -332,47 +296,13 @@ class Service {
   /// express over a dynamic shard vector. Really acquired/released by
   /// AllShardsTurnLock (and briefly by the single-threaded constructor).
   // Lock order: stands for the ascending turn-lock sweep — after shard
-  // 0's turn_mutex, before stats_mutex_.
+  // 0's turn_mutex.
   support::PhantomMutex all_turns_;
   /// Cross-tenant division policy; its credit books are only touched
   /// under all turn locks (tenant churn), never on the request fast path.
   std::unique_ptr<FairnessPolicy> policy_ AA_PT_GUARDED_BY(all_turns_);
 
-  // Service-side statistics (stats_mutex_), surfaced by the `stats` and
-  // `metrics` ops. Distributions are log2-bucketed histograms: O(1) per
-  // sample with no window to age out, at the cost of one-bucket (2x)
-  // quantile resolution.
-  // Lock order: brief leaf, taken after any turn/queue lock (the
-  // AA_ACQUIRED_AFTER edge names the phantom because the per-shard locks
-  // live behind a dynamic vector); nothing is acquired under it.
-  mutable support::Mutex stats_mutex_ AA_ACQUIRED_AFTER(all_turns_);
-  std::int64_t requests_total_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t op_counts_[kNumOps] AA_GUARDED_BY(stats_mutex_) = {};
-  std::int64_t errors_total_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t timeouts_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t batches_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t solves_coalesced_ AA_GUARDED_BY(stats_mutex_) = 0;
-  /// Indexed by SolvePath.
-  std::int64_t solves_by_path_[3] AA_GUARDED_BY(stats_mutex_) = {};
-  std::int64_t migrations_total_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t certificates_pass_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t certificates_fail_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t tenant_creates_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t tenant_updates_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t tenant_deletes_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t pool_redivides_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t queue_peak_ AA_GUARDED_BY(stats_mutex_) = 0;
-  std::int64_t deadline_misses_ AA_GUARDED_BY(stats_mutex_) = 0;
-  /// Tail-based capture (docs/SERVICE.md `trace` verb): the K slowest
-  /// requests (sorted slowest-first) and the K most recent errored ones.
-  static constexpr std::size_t kTailCapacity = 32;
-  std::vector<CapturedRequest> slowest_ AA_GUARDED_BY(stats_mutex_);
-  std::deque<CapturedRequest> errored_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram batch_size_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram queue_depth_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram request_latency_ms_ AA_GUARDED_BY(stats_mutex_);
-  obs::Histogram solve_latency_ms_ AA_GUARDED_BY(stats_mutex_);
-  const Clock::time_point started_ = Clock::now();
+  Telemetry telemetry_;
 
   std::atomic<bool> shutdown_requested_{false};
   std::unique_ptr<support::ThreadPool> pool_;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "alloc/super_optimal.hpp"
 #include "svc/instance_state.hpp"
@@ -54,9 +55,9 @@ class SloWindows {
  public:
   static constexpr double kBucketMs = 10'000.0;
   static constexpr std::size_t kBucketCount = 180;  ///< 30 minutes.
-  static constexpr std::size_t kBuckets1m = 6;
-  static constexpr std::size_t kBuckets5m = 30;
-  static constexpr std::size_t kBuckets30m = kBucketCount;
+  /// The reported windows: label and span in buckets.
+  static constexpr std::pair<std::string_view, std::size_t> kWindows[] = {
+      {"1m", 6}, {"5m", 30}, {"30m", kBucketCount}};
 
   void record(double now_ms, bool good) {
     Bucket& bucket = at(epoch_of(now_ms));
@@ -106,6 +107,17 @@ class SloWindows {
   std::array<Bucket, kBucketCount> buckets_{};
 };
 
+/// Per-tenant request books, reported by the stats/metrics/slo verbs.
+struct TenantCounters {
+  /// Finished requests addressed to the tenant, timeouts included.
+  std::int64_t requests = 0;
+  std::int64_t errors = 0;    ///< Of those, answered with an error.
+  std::int64_t slo_good = 0;  ///< Of those, ok and not a deadline miss.
+  /// Timeouts plus replies slower than slo_ms.
+  std::int64_t deadline_misses = 0;
+  std::int64_t solves_by_path[3] = {};  ///< Indexed by SolvePath.
+};
+
 struct Tenant {
   Tenant(std::string tenant_name, TenantQuota tenant_quota,
          std::size_t num_servers, util::Resource capacity,
@@ -131,17 +143,7 @@ struct Tenant {
   // shard's turn lock: Shard::tenants is AA_GUARDED_BY(turn_mutex) in
   // service.hpp, and the analysis stops at the map boundary, so the
   // fields themselves carry no annotations.
-  std::int64_t requests = 0;
-  std::int64_t errors = 0;
-  std::int64_t solves_by_path[3] = {};  ///< Indexed by SolvePath.
-
-  // SLO accounting (docs/OBSERVABILITY.md "Request tracing, structured
-  // logs & SLOs"): a finished request is a deadline miss when it errored
-  // with `timeout` or exceeded the configured slo_ms; good/total feed the
-  // lifetime error-budget ratio and the multi-window burn rates.
-  std::int64_t deadline_misses = 0;
-  std::int64_t slo_good = 0;
-  std::int64_t slo_total = 0;
+  TenantCounters counters;
   SloWindows slo_windows;
 };
 

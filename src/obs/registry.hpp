@@ -155,6 +155,7 @@ inline constexpr std::string_view kPhaseSuperOptimalParallel =
 inline constexpr std::string_view kPhaseSuperOptimalPrice =
     "super_optimal/price";
 inline constexpr std::string_view kPhaseSvcBatch = "svc/batch";
+inline constexpr std::string_view kPhaseSvcRender = "svc/render";
 inline constexpr std::string_view kPhaseSvcSolve = "svc/solve";
 
 inline constexpr std::string_view kAllTimers[] = {
@@ -172,6 +173,7 @@ inline constexpr std::string_view kAllTimers[] = {
     kPhaseSuperOptimalParallel,
     kPhaseSuperOptimalPrice,
     kPhaseSvcBatch,
+    kPhaseSvcRender,
     kPhaseSvcSolve,
 };
 

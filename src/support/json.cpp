@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -112,23 +113,21 @@ void dump_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void dump_number(double d, std::string& out) {
+}  // namespace
+
+void append_json_number(double d, std::string& out) {
   if (!std::isfinite(d)) {
     throw std::runtime_error("json: cannot serialize non-finite number");
   }
-  if (d == std::floor(d) && std::abs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(d));
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
-  }
+  // 24 chars is the longest %.17g form ("-1.2345678901234567e-308").
+  char buf[32];
+  const std::to_chars_result written =
+      d == std::floor(d) && std::abs(d) < 9.007199254740992e15
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof buf, d,
+                          std::chars_format::general, 17);
+  out.append(buf, written.ptr);
 }
-
-}  // namespace
 
 std::string JsonValue::dump(int indent) const {
   std::string out;
@@ -143,12 +142,14 @@ std::string JsonValue::dump(int indent) const {
     }
 
     void run(const JsonValue& value, int depth) const {
-      if (value.is_null()) {
+      if (const std::string* text = value.fragment_text()) {
+        out += *text;
+      } else if (value.is_null()) {
         out += "null";
       } else if (value.is_bool()) {
         out += value.as_bool() ? "true" : "false";
       } else if (value.is_number()) {
-        dump_number(value.as_number(), out);
+        append_json_number(value.as_number(), out);
       } else if (value.is_string()) {
         dump_string(value.as_string(), out);
       } else if (value.is_array()) {

@@ -6,6 +6,11 @@
 // supports null, bool, finite numbers, strings with \uXXXX escapes (BMP
 // only), arrays and objects. Object member order is preserved. Parsing
 // errors throw JsonError with line/column context.
+//
+// A value may also be a pre-serialised fragment: JSON text written once by
+// its producer and appended verbatim by dump(), so a large sub-document
+// shared by several replies is neither rebuilt as a tree nor walked again.
+// Copying one copies a pointer; the parser never produces one.
 
 #include <cstddef>
 #include <map>
@@ -40,6 +45,8 @@ class JsonValue {
   using Array = std::vector<JsonValue>;
   /// Members in document/insertion order.
   using Object = std::vector<std::pair<std::string, JsonValue>>;
+  /// Pre-serialised JSON text, shared between copies.
+  using Fragment = std::shared_ptr<const std::string>;
 
   JsonValue() : value_(nullptr) {}
   JsonValue(std::nullptr_t) : value_(nullptr) {}
@@ -52,6 +59,14 @@ class JsonValue {
   JsonValue(std::string s) : value_(std::move(s)) {}
   JsonValue(Array a) : value_(std::move(a)) {}
   JsonValue(Object o) : value_(std::move(o)) {}
+
+  /// A fragment holding `json`, which must already be one valid JSON value
+  /// (not checked). Every is_*/as_* accessor treats it as opaque.
+  [[nodiscard]] static JsonValue fragment(std::string json) {
+    JsonValue value;
+    value.value_ = std::make_shared<const std::string>(std::move(json));
+    return value;
+  }
 
   [[nodiscard]] bool is_null() const noexcept {
     return std::holds_alternative<std::nullptr_t>(value_);
@@ -79,6 +94,11 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
+  /// The fragment's text, or nullptr when this is not a fragment.
+  [[nodiscard]] const std::string* fragment_text() const noexcept {
+    const Fragment* held = std::get_if<Fragment>(&value_);
+    return held == nullptr ? nullptr : held->get();
+  }
 
   /// Object lookup; throws if not an object or the key is missing.
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
@@ -92,9 +112,15 @@ class JsonValue {
   [[nodiscard]] std::string dump(int indent = 0) const;
 
  private:
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
+  std::variant<std::nullptr_t, bool, double, std::string, Array, Object,
+               Fragment>
       value_;
 };
+
+/// Appends `d` as dump() writes every number: integral values below 2^53
+/// in magnitude as integers, all others as printf "%.17g" does in the "C"
+/// locale. Throws std::runtime_error for NaN and infinities.
+void append_json_number(double d, std::string& out);
 
 /// Parses a complete JSON document (rejects trailing garbage).
 [[nodiscard]] JsonValue json_parse(std::string_view text);

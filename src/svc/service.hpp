@@ -18,7 +18,9 @@
 //     a *batch* of up to `batch_max` requests (lingering `batch_linger_ms`
 //     after the first so bursts coalesce), applies every delta in arrival
 //     order, and answers all solve requests in the batch — per tenant —
-//     with ONE re-solve of that tenant's final state (coalescing). Reply
+//     with ONE re-solve of that tenant's final state (coalescing). The
+//     solve's assignment is written as JSON text once, under the turn,
+//     and shared by every reply of the group; the rest of reply
 //     *rendering* happens outside the turn, so JSON serialization
 //     overlaps the next batch's solve; a per-shard sequencer delivers
 //     batches in order, preserving FIFO per shard (and therefore per
@@ -43,8 +45,8 @@
 //
 // Statistics live in svc::Telemetry (svc/telemetry.hpp), which accounts
 // each finished request once and renders the read verbs from one snapshot
-// of every tenant. The service itself adds the svc/batch and svc/solve
-// phase timers and queue-wait spans on the obs trace rings.
+// of every tenant. The service itself adds the svc/batch, svc/solve and
+// svc/render phase timers and queue-wait spans on the obs trace rings.
 //
 // Lock hierarchy (machine-checked through the support/sync.hpp
 // annotations under Clang -Werror=thread-safety; the table in
@@ -286,6 +288,8 @@ class Service {
   /// Every tenant's row and the totals, copied under AllShardsTurnLock.
   /// Called by the shard-0 worker, which holds shard 0's turn.
   [[nodiscard]] ServiceSnapshot snapshot() AA_EXCLUDES(all_turns_);
+  /// The members every reply of one coalesced solve shares; the
+  /// assignment is a pre-serialised fragment (support/json.hpp).
   [[nodiscard]] support::JsonValue solve_payload(
       const ServiceSolveResult& solved, double solve_ms) const;
 

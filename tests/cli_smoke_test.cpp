@@ -40,8 +40,12 @@ std::string slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
+/// A temp file private to the running test: ctest runs each test as its
+/// own process, in parallel, so a shared name would race.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "aa_cli_smoke_" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "aa_cli_smoke_" + test->name() + "_" + name;
 }
 
 constexpr const char* kGen = AA_GEN_BIN;

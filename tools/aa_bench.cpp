@@ -246,7 +246,7 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
 
   // End-to-end service latency: full request -> parse -> queue -> batch ->
   // solve -> render round trip through Service::request.
-  const auto make_service = [seed] {
+  const auto make_service = [seed](std::size_t threads) {
     aa::svc::ServiceConfig config;
     config.num_servers = 8;
     config.capacity = 1000;
@@ -255,7 +255,7 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
     service->start();
     aa::support::DistributionParams dist;
     aa::support::Rng rng = aa::support::Rng::child(seed, 9003);
-    for (std::size_t i = 0; i < 64; ++i) {
+    for (std::size_t i = 0; i < threads; ++i) {
       const aa::util::UtilityPtr utility =
           aa::util::generate_utility(1000, dist, rng);
       JsonValue request{JsonValue::Object{}};
@@ -273,7 +273,7 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
   cases.push_back(
       {"svc/request/solve_cached_n64", "svc", true,
        [make_service, solve_utility] {
-         auto service = make_service();
+         auto service = make_service(64);
          static_cast<void>(service->request(R"({"op": "solve"})"));
          return [service, solve_utility] {
            return solve_utility(service->request(R"({"op": "solve"})"));
@@ -282,12 +282,27 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
   cases.push_back(
       {"svc/request/delta_solve_n64", "svc", false,
        [make_service, solve_utility] {
-         auto service = make_service();
+         auto service = make_service(64);
          static_cast<void>(service->request(R"({"op": "solve"})"));
          return [service, solve_utility] {
            static_cast<void>(service->request(
                R"({"op": "update_utility", "id": 1, "factor": 1.0})"));
            return solve_utility(service->request(R"({"op": "solve"})"));
+         };
+       }});
+
+  // The reply layer: at n=4096 a cached solve costs the solver a few
+  // microseconds, so this times rendering and delivering the ~134 KB
+  // reply. The check is the assignment's byte length, found without
+  // parsing the reply (solve_ms and rid vary in length between calls).
+  cases.push_back(
+      {"svc/request/solve_cached_n4096", "svc", false, [make_service] {
+         auto service = make_service(4096);
+         static_cast<void>(service->request(R"({"op": "solve"})"));
+         return [service] {
+           const std::string reply = service->request(R"({"op": "solve"})");
+           return static_cast<double>(reply.rfind(",\"rid\":") -
+                                      reply.find("\"assignment\":"));
          };
        }});
 

@@ -4,10 +4,12 @@
 //   Algorithm 2: O(n (log mC)^2) — near-linear in n (dominated by the
 //                super-optimal allocation).
 // Also isolates the two super-optimal allocator implementations: the
-// heap greedy is O((n + mC) log n), the bisection O(n (log mC)^2), so the
-// bisection wins at large C.
+// heap greedy (the test oracle's super_optimal_greedy) is
+// O((n + mC) log n), the bisection O(n (log mC)^2), so the bisection wins
+// at large C.
 
 #include <benchmark/benchmark.h>
+#include <oracles/oracles.hpp>
 
 #include <cstdint>
 
@@ -69,7 +71,7 @@ void BM_SuperOptimalGreedy_ScaleC(benchmark::State& state) {
       static_cast<aa::util::Resource>(state.range(0));
   const auto instance = sized_instance(64, 8, capacity);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aa::alloc::super_optimal_greedy(
+    benchmark::DoNotOptimize(aa::oracle::super_optimal_greedy(
         instance.threads, instance.num_servers, instance.capacity));
   }
 }

@@ -20,7 +20,9 @@
 // runs the rounds in O(n log n + (n + m) m) while producing bit-identical
 // assignments — the pair-selection tie-breaks of the literal pseudocode are
 // replayed exactly (see the invariant notes in algorithm1.cpp, and
-// docs/BENCHMARKS.md for the measured speedup).
+// docs/BENCHMARKS.md for the measured speedup). The literal O(m n^2)
+// transcription it is pinned against lives with the tests
+// (tests/oracles/oracles.hpp, `oracle::assign_algorithm1_reference`).
 
 #include <span>
 
@@ -37,15 +39,6 @@ namespace aa::core {
 /// Assignment phase only, for callers that already computed the
 /// super-optimal allocation (benches isolate phases this way).
 [[nodiscard]] Assignment assign_algorithm1(
-    const Instance& instance, std::span<const util::Linearized> linearized);
-
-/// The literal O(m n^2) transcription of the paper's pseudocode: rescans
-/// every (thread, server) pair each round. Kept as the differential-testing
-/// oracle for the incremental implementation above
-/// (tests/algorithm1_equivalence_test.cpp pins bit-identical output) and as
-/// the `alg1_reference` baseline in tools/aa_bench. Records no obs metrics,
-/// so oracle runs never pollute a measurement session.
-[[nodiscard]] Assignment assign_algorithm1_reference(
     const Instance& instance, std::span<const util::Linearized> linearized);
 
 }  // namespace aa::core

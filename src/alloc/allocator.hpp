@@ -12,17 +12,16 @@
 //                        O((n + pool) log n). Exact because concavity makes
 //                        the per-unit marginal sequence nonincreasing, so the
 //                        greedy exchange argument applies.
-//  * allocate_bisection— threshold search on the marginal value (Galil [16]
-//                        style), O(n (log pool)^2 + n log n): binary-searches
-//                        the Lagrange multiplier lambda, then distributes the
-//                        residual units across the lambda-plateau. This is
-//                        the algorithm the paper's complexity bounds cite.
-//  * allocate_dp_exact — O(n pool^2) dynamic program; reference oracle for
-//                        tests on small pools (works for arbitrary, even
-//                        non-concave, tabulated utilities).
+//  * allocate_bisection_soa — threshold search on the marginal value (Galil
+//                        [16] style), O(n (log pool)^2 + n log n): binary-
+//                        searches the Lagrange multiplier lambda, then
+//                        distributes the residual units across the
+//                        lambda-plateau. This is the algorithm the paper's
+//                        complexity bounds cite.
 //
 // The super-optimal allocation of Definition V.1 is the same routine with
-// pool = m * C (see super_optimal.hpp).
+// pool = m * C (see super_optimal.hpp). Reference oracles (the literal
+// bisection, an O(n pool^2) DP) live in tests/oracles.
 
 #include <limits>
 #include <span>
@@ -47,28 +46,19 @@ inline constexpr util::Resource kNoCap =
     std::numeric_limits<util::Resource>::max();
 
 /// Exact heap greedy. Requires concave utilities (nonincreasing marginals);
-/// behaviour on non-concave inputs is unspecified (use allocate_dp_exact).
+/// behaviour on non-concave inputs is unspecified.
 [[nodiscard]] AllocationResult allocate_greedy(
     std::span<const util::UtilityPtr> threads, util::Resource pool,
     util::Resource per_thread_cap = kNoCap);
 
-/// Exact threshold bisection; same contract as allocate_greedy.
-[[nodiscard]] AllocationResult allocate_bisection(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap);
-
-/// Exact dynamic program over integer units (reference oracle).
-[[nodiscard]] AllocationResult allocate_dp_exact(
-    std::span<const util::UtilityPtr> threads, util::Resource pool,
-    util::Resource per_thread_cap = kNoCap);
-
-/// Exact threshold bisection restructured around structure-of-arrays
-/// marginal grids (raw tabulated grids where available) with per-thread
-/// unit-bracket narrowing, optionally fanning the per-lambda probes across
-/// `workers` via support::parallel_chunked_reduce. Every reduced quantity is
-/// an integer count or an exact max, and the chunk decomposition depends only
-/// on n, so the result is bit-identical to allocate_bisection for every
-/// input and every worker count (nullptr runs all probes on the caller).
+/// Exact threshold bisection (same contract as allocate_greedy) over
+/// structure-of-arrays marginal grids (raw tabulated grids where available)
+/// with per-thread unit-bracket narrowing, optionally fanning the per-lambda
+/// probes across `workers` via support::parallel_chunked_reduce. Every
+/// reduced quantity is an integer count or an exact max, and the chunk
+/// decomposition depends only on n, so the result is the same for every
+/// worker count (nullptr runs all probes on the caller), and bit-identical
+/// to the literal reference bisection in tests/oracles.
 [[nodiscard]] AllocationResult allocate_bisection_soa(
     std::span<const util::UtilityPtr> threads, util::Resource pool,
     util::Resource per_thread_cap = kNoCap,

@@ -1,7 +1,9 @@
 #include "alloc/allocator.hpp"
 
-// Flat-memory rewrite of allocate_bisection (the hot path behind
-// super_optimal; see docs/ALGORITHMS.md "Strategy seam"). Three ideas:
+// The one exact super-optimal implementation (behind both exact
+// strategies of super_optimal; see docs/ALGORITHMS.md "Strategy seam"): a
+// flat-memory rewrite of the literal lambda bisection, which survives as
+// oracle::allocate_bisection in tests/oracles. Three ideas:
 //
 //  1. Flat marginal grids, packed bisection state. For TabulatedUtility
 //     (the workhorse representation) the marginal is read straight off the
@@ -29,13 +31,13 @@
 //     fixed width (boundaries depend only on n, never on the worker count)
 //     run across support::parallel_for, and the unit count is the serial
 //     chunk-order sum of per-chunk integer partials — order-independent, so
-//     the result is bit-identical to the serial reference for every worker
+//     the result is bit-identical to the reference for every worker
 //     count. The equivalence wall in tests/super_optimal_equivalence_test.cpp
 //     holds exactly, not approximately.
 //
-// The lambda schedule replicates allocate_bisection's literally (same
-// initial bracket, same midpoints, same stop rule, same plateau constant),
-// so `exact` mode is a drop-in replacement. `price` mode (allocate_price)
+// The lambda schedule replicates the reference's literally (same initial
+// bracket, same midpoints, same stop rule, same plateau constant), so
+// `exact` mode returns the reference's bits. `price` mode (allocate_price)
 // reuses everything but stops the dual bisection at a documented tolerance
 // — see the contract in alloc/allocator.hpp.
 
@@ -82,7 +84,7 @@ T reduce_over(support::ThreadPool* workers, std::size_t n, T init,
 
 double serial_total(std::span<const UtilityPtr> threads,
                     const std::vector<Resource>& amounts) {
-  // Left-to-right on the caller's thread, exactly like the serial
+  // Left-to-right on the caller's thread, exactly like the
   // reference's total_of — a chunked float sum would change the bits.
   double total = 0.0;
   for (std::size_t i = 0; i < threads.size(); ++i) {
@@ -114,12 +116,12 @@ struct Hot {
 
 /// Largest k in [lb, ub] with marginal(k) >= lambda. Requires the
 /// unconstrained answer (largest such k in [0, cap], or 0) to lie in
-/// [lb, ub]; under that bracket invariant the result equals the serial
-/// units_at_or_above regardless of how tight the bracket is. The two
-/// endpoint shortcuts resolve the common cases in O(1): lambda above the
-/// first marginal means the serial early-out (answer 0, so lb == 0), and
-/// lambda at or below the last marginal means every unit clears it
-/// (answer cap, so ub == cap, by nonincreasing marginals).
+/// [lb, ub]; under that bracket invariant the result equals the
+/// reference's units_at_or_above regardless of how tight the bracket is.
+/// The two endpoint shortcuts resolve the common cases in O(1): lambda
+/// above the first marginal means the reference's early-out (answer 0, so
+/// lb == 0), and lambda at or below the last marginal means every unit
+/// clears it (answer cap, so ub == cap, by nonincreasing marginals).
 [[nodiscard]] Resource probe(const Hot& h, double lambda, Resource lb,
                              Resource ub) {
   if (lb == ub) return lb;
@@ -214,7 +216,7 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
         return acc;
       });
 
-  // Trivial cases, mirroring the serial reference: everyone saturates (still
+  // Trivial cases, mirroring the reference: everyone saturates (still
   // trimming zero-marginal tails), or nothing is worth allocating.
   if (setup.total_cap <= pool) {
     (void)reduce_over(
@@ -237,7 +239,7 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
 
   // Chunked active sets. Threads with no capacity or a nonpositive first
   // marginal contribute 0 units at every probed price (all midpoints are
-  // > 0, so the serial early-out fires for them) and their unit bracket is
+  // > 0, so the reference's early-out fires for them) and their unit bracket is
   // already the point {0}; they never enter a sweep.
   const std::size_t num_chunks = (n + kChunkWidth - 1) / kChunkWidth;
   std::vector<ChunkState> chunks(num_chunks);
@@ -296,7 +298,7 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
                        config.workers->worker_count() > 1 &&
                        n >= kMinParallelThreads;
 
-  // The serial reference's lambda schedule, replicated literally. In price
+  // The reference's lambda schedule, replicated literally. In price
   // mode the stop rule loosens to the documented tolerance; everything else
   // (midpoints, commits, plateau constant) is shared.
   const double stop_width =
@@ -375,7 +377,7 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
         [](Resource acc, Resource part) { return acc + part; });
   }
 
-  // Plateau distribution, identical to the serial reference: remaining
+  // Plateau distribution, identical to the reference: remaining
   // eligible units sit in the converged [lo, hi] sliver, so index order is
   // optimal up to that sliver. units(plateau) >= units(lo) and units_lo was
   // committed at (or below, for pinned threads, where units are constant)
@@ -403,7 +405,7 @@ AllocationResult run_bisection_soa(std::span<const UtilityPtr> threads,
   }
 
   // Safety net for pathological floating-point geometry: finish greedily,
-  // with the serial reference's exact tie-breaking.
+  // with the reference's exact tie-breaking.
   if (residual > 0) {
     struct Entry {
       double marginal;

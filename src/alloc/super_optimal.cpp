@@ -44,15 +44,6 @@ SuperOptimalResult super_optimal(std::span<const util::UtilityPtr> threads,
   return super_optimal_with(threads, num_servers, capacity, {});
 }
 
-SuperOptimalResult super_optimal_greedy(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity) {
-  const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
-  count_call(threads);
-  return from(
-      allocate_greedy(threads, pooled(num_servers, capacity), capacity));
-}
-
 SuperOptimalResult super_optimal_parallel(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity, support::ThreadPool* workers) {
@@ -101,7 +92,7 @@ SuperOptimalResult super_optimal_pooled(
   }
   const obs::ScopedPhase obs_phase(obs::metric::kPhaseSuperOptimal);
   count_call(threads);
-  return from(allocate_bisection(threads, pool, per_thread_cap));
+  return from(allocate_bisection_soa(threads, pool, per_thread_cap, nullptr));
 }
 
 SuperOptimalResult super_optimal_routed(

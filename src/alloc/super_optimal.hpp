@@ -6,16 +6,16 @@
 // Its utility F_hat upper-bounds the optimal AA utility F* (Lemma V.2), and
 // both approximation algorithms take it as input.
 //
-// Strategy seam (docs/ALGORITHMS.md "Strategy seam"): `super_optimal` and
-// `super_optimal_greedy` are the serial reference implementations and never
-// change. The optimized paths — `super_optimal_parallel` (bit-identical SoA
-// rewrite, optionally fanned across a thread pool) and `super_optimal_price`
-// (single-price discovery with a documented tolerance, for the very-large-n
-// regime) — sit behind SuperOptimalOptions, which every solver takes as an
-// explicit argument (default serial) and `super_optimal_pooled` alone
-// dispatches on. Branch-and-bound keeps calling the serial reference
-// directly: its pruning needs a true upper bound, and the price variant's
-// utility may fall below F_hat (never above).
+// Strategy seam (docs/ALGORITHMS.md "Strategy seam"): every solver takes
+// SuperOptimalOptions as an explicit argument (default serial), and
+// `super_optimal_pooled` alone dispatches on it. The two exact strategies
+// run the one exact implementation, allocate_bisection_soa: `serial` on the
+// calling thread, `parallel` fanned across a thread pool; they return the
+// same bits. `price` (single-price discovery with a documented tolerance,
+// for the very-large-n regime) may fall below F_hat (never above), so
+// branch-and-bound keeps to the exact strategies: its pruning needs a true
+// upper bound. The literal reference bisection the exact path is pinned
+// against lives in tests/oracles.
 
 #include <span>
 #include <string_view>
@@ -31,8 +31,8 @@ struct SuperOptimalResult {
 
 /// How super_optimal_with / super_optimal_pooled compute the allocation.
 enum class SuperOptimalStrategy {
-  kSerial,    ///< allocate_bisection, the reference path (default).
-  kParallel,  ///< allocate_bisection_soa: bit-identical, pool-accelerated.
+  kSerial,    ///< allocate_bisection_soa on the caller (default).
+  kParallel,  ///< allocate_bisection_soa fanned across a pool: same bits.
   kPrice,     ///< allocate_price: tolerance contract, fastest at huge n.
 };
 
@@ -42,24 +42,18 @@ struct SuperOptimalOptions {
   /// for the exact utility contract).
   double price_tolerance = 1e-9;
   /// kParallel/kPrice: pool for the probe fan-out; nullptr means
-  /// support::global_pool().
+  /// support::global_pool(). kSerial never fans out.
   support::ThreadPool* workers = nullptr;
 };
 
 /// Computes a super-optimal allocation for `num_servers` servers of capacity
-/// `capacity` each, using the threshold-bisection allocator (the paper's
-/// O(n (log mC)^2) path, citing Galil [16]).
+/// `capacity` each, using the threshold-bisection allocator on the calling
+/// thread (the paper's O(n (log mC)^2) path, citing Galil [16]).
 [[nodiscard]] SuperOptimalResult super_optimal(
     std::span<const util::UtilityPtr> threads, std::size_t num_servers,
     util::Resource capacity);
 
-/// Same, via the heap-greedy allocator (O((n + mC) log n)); used to
-/// cross-check the bisection path in tests and ablations.
-[[nodiscard]] SuperOptimalResult super_optimal_greedy(
-    std::span<const util::UtilityPtr> threads, std::size_t num_servers,
-    util::Resource capacity);
-
-/// SoA + bracket-narrowing rewrite, fanned across `workers` (nullptr means
+/// The same bisection, fanned across `workers` (nullptr means
 /// support::global_pool()). Bit-identical to super_optimal for every input
 /// and worker count — guaranteed by super_optimal_equivalence_test.
 [[nodiscard]] SuperOptimalResult super_optimal_parallel(

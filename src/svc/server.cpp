@@ -4,8 +4,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <utility>
 
@@ -32,6 +35,14 @@ struct SocketServer::Connection {
   // while held.
   support::Mutex write_mutex;
   bool open AA_GUARDED_BY(write_mutex) = true;
+  // Lock order: leaf, never nested with write_mutex — a reply can sit in a
+  // blocking send() holding write_mutex while shutdown waits on this one.
+  support::Mutex replies_mutex;
+  support::CondVar replies_cv;
+  /// Lines handed to the service whose reply has not been written yet.
+  std::size_t owed AA_GUARDED_BY(replies_mutex) = 0;
+  /// Set by the reader thread as its last step: the accept loop may join it.
+  std::atomic<bool> finished{false};
 
   bool send(const std::string& line) AA_EXCLUDES(write_mutex) {
     const support::MutexLock lock(write_mutex);
@@ -45,6 +56,36 @@ struct SocketServer::Connection {
     fd.shutdown_both();
     const support::MutexLock lock(write_mutex);
     open = false;
+  }
+
+  /// Called before a line goes to the service: one more reply is owed.
+  void expect_reply() AA_EXCLUDES(replies_mutex) {
+    const support::MutexLock lock(replies_mutex);
+    ++owed;
+  }
+
+  /// The service's reply callback: writes the line (or drops it on a
+  /// closed connection), then settles the debt.
+  void reply(const std::string& line)
+      AA_EXCLUDES(write_mutex, replies_mutex) {
+    (void)send(line);
+    {
+      const support::MutexLock lock(replies_mutex);
+      --owed;
+    }
+    replies_cv.notify_all();
+  }
+
+  /// Returns once every owed reply was handed over, or at `deadline`.
+  void await_replies(std::chrono::steady_clock::time_point deadline)
+      AA_EXCLUDES(replies_mutex) {
+    const support::MutexLock lock(replies_mutex);
+    while (owed > 0) {
+      if (replies_cv.wait_until(replies_mutex, deadline) ==
+          std::cv_status::timeout) {
+        return;
+      }
+    }
   }
 };
 
@@ -67,6 +108,7 @@ void SocketServer::run() {
   poll_set.events = POLLIN;
   while (!service_.shutdown_requested()) {
     const int ready = ::poll(&poll_set, 1, /*timeout_ms=*/100);
+    reap_finished();
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -80,9 +122,13 @@ void SocketServer::run() {
     auto connection = std::make_shared<Connection>();
     connection->fd = std::move(client);
     const support::MutexLock lock(connections_mutex_);
-    threads_.emplace_back(&SocketServer::connection_loop, this, connection);
-    connections_.push_back(std::move(connection));
+    std::thread thread(&SocketServer::connection_loop, this, connection);
+    readers_.push_back({std::move(connection), std::move(thread)});
   }
+  // The service set the flag while processing the shutdown request, before
+  // its reply (and those of requests batched with it) went out: closing now
+  // could cut them off.
+  await_replies(std::chrono::steady_clock::now() + kShutdownReplyGrace);
   shutdown_connections();
 }
 
@@ -99,23 +145,49 @@ void SocketServer::connection_loop(std::shared_ptr<Connection> connection) {
       }
       break;  // EOF (possibly mid-line) or error: clean disconnect.
     }
+    connection->expect_reply();
     service_.submit_line(*line, [connection](const std::string& reply) {
-      (void)connection->send(reply);
+      connection->reply(reply);
     });
   }
   connection->close();
+  connection->finished.store(true, std::memory_order_release);
+}
+
+void SocketServer::reap_finished() {
+  std::vector<Reader> done;
+  {
+    const support::MutexLock lock(connections_mutex_);
+    const auto first_done =
+        std::partition(readers_.begin(), readers_.end(), [](const Reader& r) {
+          return !r.connection->finished.load(std::memory_order_acquire);
+        });
+    done.assign(std::make_move_iterator(first_done),
+                std::make_move_iterator(readers_.end()));
+    readers_.erase(first_done, readers_.end());
+  }
+  for (Reader& reader : done) reader.thread.join();
+}
+
+void SocketServer::await_replies(
+    std::chrono::steady_clock::time_point deadline) {
+  std::vector<std::shared_ptr<Connection>> open;
+  {
+    const support::MutexLock lock(connections_mutex_);
+    for (const Reader& reader : readers_) open.push_back(reader.connection);
+  }
+  for (const auto& connection : open) connection->await_replies(deadline);
 }
 
 void SocketServer::shutdown_connections() {
-  std::vector<std::thread> threads;
+  std::vector<Reader> readers;
   {
     const support::MutexLock lock(connections_mutex_);
-    for (const auto& connection : connections_) connection->close();
-    threads.swap(threads_);
-    connections_.clear();
+    for (const Reader& reader : readers_) reader.connection->close();
+    readers.swap(readers_);
   }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
+  for (Reader& reader : readers) {
+    if (reader.thread.joinable()) reader.thread.join();
   }
 }
 

@@ -5,6 +5,7 @@
 // only move bytes — parsing, validation, batching, and solving live in
 // Service.
 
+#include <chrono>
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
@@ -18,8 +19,15 @@
 
 namespace aa::svc {
 
+/// How long SocketServer::run waits, once a shutdown request has been
+/// processed, for the replies still owed to open connections (the
+/// shutdown's own among them) before it closes the connections. Bounds
+/// shutdown when a client never reads its replies.
+inline constexpr std::chrono::milliseconds kShutdownReplyGrace{5000};
+
 /// Accept loop over a Unix domain stream socket. One reader thread per
-/// connection; replies are written back on the worker threads under a
+/// connection, joined and dropped by the accept loop once the client hangs
+/// up; replies are written back on the worker threads under a
 /// per-connection mutex. A request line longer than `max_line_bytes` gets
 /// a structured `too_large` error and the connection is closed (the stream
 /// cannot be resynchronized); a mid-line EOF is a clean disconnect.
@@ -33,14 +41,23 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   /// Blocks accepting connections until the service reports
-  /// shutdown_requested(), then closes every connection and joins the
+  /// shutdown_requested(), waits up to kShutdownReplyGrace for the replies
+  /// owed to open connections, then closes every connection and joins the
   /// reader threads.
   void run();
 
  private:
   struct Connection;
+  struct Reader {
+    std::shared_ptr<Connection> connection;
+    std::thread thread;
+  };
 
   void connection_loop(std::shared_ptr<Connection> connection);
+  /// Joins and drops the readers whose client has hung up.
+  void reap_finished() AA_EXCLUDES(connections_mutex_);
+  void await_replies(std::chrono::steady_clock::time_point deadline)
+      AA_EXCLUDES(connections_mutex_);
   void shutdown_connections() AA_EXCLUDES(connections_mutex_);
 
   Service& service_;
@@ -48,12 +65,10 @@ class SocketServer {
   std::size_t max_line_bytes_;
   FdHandle listener_;
 
-  // Lock order: leaf. Guards the connection/thread registries only;
-  // each Connection then has its own leaf write_mutex.
+  // Lock order: leaf. Guards the reader registry only; each Connection
+  // then has its own leaf mutexes.
   support::Mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_
-      AA_GUARDED_BY(connections_mutex_);
-  std::vector<std::thread> threads_ AA_GUARDED_BY(connections_mutex_);
+  std::vector<Reader> readers_ AA_GUARDED_BY(connections_mutex_);
 };
 
 /// Reads request lines from `in` until EOF (or the first line after a

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <oracles/oracles.hpp>
+
 #include "aa/algorithm1.hpp"
 #include "aa/problem.hpp"
 #include "alloc/super_optimal.hpp"
@@ -36,7 +38,7 @@ void expect_equivalent(const core::Instance& instance) {
 
   const core::Assignment fast = core::assign_algorithm1(instance, linearized);
   const core::Assignment reference =
-      core::assign_algorithm1_reference(instance, linearized);
+      oracle::assign_algorithm1_reference(instance, linearized);
 
   ASSERT_EQ(fast.server.size(), reference.server.size());
   EXPECT_EQ(fast.server, reference.server);

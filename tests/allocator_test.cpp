@@ -9,6 +9,8 @@
 #include <cmath>
 #include <numeric>
 
+#include <oracles/oracles.hpp>
+
 #include "support/prng.hpp"
 #include "utility/generator.hpp"
 
@@ -86,7 +88,7 @@ TEST(Bisection, MatchesGreedyOnAnalyticMix) {
       std::make_shared<CappedLinearUtility>(0.7, 300.0, 1000)};
   for (const Resource pool : {0, 1, 10, 100, 999, 2500, 4000}) {
     const AllocationResult g = allocate_greedy(threads, pool);
-    const AllocationResult b = allocate_bisection(threads, pool);
+    const AllocationResult b = oracle::allocate_bisection(threads, pool);
     ASSERT_NEAR(g.total_utility, b.total_utility, 1e-6 * (1.0 + g.total_utility))
         << "pool = " << pool;
   }
@@ -100,7 +102,7 @@ TEST(Bisection, MatchesGreedyOnTiePlateaus) {
   }
   for (const Resource pool : {0, 7, 100, 249, 250, 251}) {
     const AllocationResult g = allocate_greedy(threads, pool);
-    const AllocationResult b = allocate_bisection(threads, pool);
+    const AllocationResult b = oracle::allocate_bisection(threads, pool);
     ASSERT_NEAR(g.total_utility, b.total_utility, 1e-9) << "pool = " << pool;
     const Resource used = std::accumulate(b.amounts.begin(), b.amounts.end(),
                                           Resource{0});
@@ -112,7 +114,7 @@ TEST(Bisection, SaturatedPoolGivesEveryoneTheirCap) {
   std::vector<UtilityPtr> threads{
       std::make_shared<CappedLinearUtility>(1.0, 10.0, 100),
       std::make_shared<CappedLinearUtility>(2.0, 20.0, 100)};
-  const AllocationResult r = allocate_bisection(threads, 100000, 100);
+  const AllocationResult r = oracle::allocate_bisection(threads, 100000, 100);
   EXPECT_EQ(r.amounts[0], 10);
   EXPECT_EQ(r.amounts[1], 20);
 }
@@ -121,7 +123,7 @@ TEST(Bisection, RespectsPerThreadCap) {
   std::vector<UtilityPtr> threads{
       std::make_shared<PowerUtility>(1.0, 0.9, 1000),
       std::make_shared<PowerUtility>(1.0, 0.9, 1000)};
-  const AllocationResult r = allocate_bisection(threads, 500, 200);
+  const AllocationResult r = oracle::allocate_bisection(threads, 500, 200);
   EXPECT_LE(r.amounts[0], 200);
   EXPECT_LE(r.amounts[1], 200);
 }
@@ -131,7 +133,7 @@ TEST(DpExact, MatchesHandComputedOptimum) {
   std::vector<UtilityPtr> threads{
       std::make_shared<CappedLinearUtility>(1.0, 2.0, 10),
       std::make_shared<CappedLinearUtility>(0.6, 10.0, 10)};
-  const AllocationResult r = allocate_dp_exact(threads, 3);
+  const AllocationResult r = oracle::allocate_dp_exact(threads, 3);
   EXPECT_DOUBLE_EQ(r.total_utility, 2.6);
   EXPECT_EQ(r.amounts[0], 2);
   EXPECT_EQ(r.amounts[1], 1);
@@ -140,7 +142,7 @@ TEST(DpExact, MatchesHandComputedOptimum) {
 TEST(DpExact, BudgetFullyUsableButNotForced) {
   std::vector<UtilityPtr> threads{
       std::make_shared<CappedLinearUtility>(1.0, 1.0, 10)};
-  const AllocationResult r = allocate_dp_exact(threads, 10);
+  const AllocationResult r = oracle::allocate_dp_exact(threads, 10);
   EXPECT_DOUBLE_EQ(r.total_utility, 1.0);
 }
 
@@ -163,8 +165,8 @@ TEST_P(AllocatorAgreement, GreedyBisectionDpAgreeOnRandomConcave) {
   }
   const Resource pool = static_cast<Resource>(rng.uniform_below(80));
   const AllocationResult g = allocate_greedy(threads, pool, 40);
-  const AllocationResult b = allocate_bisection(threads, pool, 40);
-  const AllocationResult d = allocate_dp_exact(threads, pool, 40);
+  const AllocationResult b = oracle::allocate_bisection(threads, pool, 40);
+  const AllocationResult d = oracle::allocate_dp_exact(threads, pool, 40);
   const double tol = 1e-7 * (1.0 + d.total_utility);
   EXPECT_NEAR(g.total_utility, d.total_utility, tol);
   EXPECT_NEAR(b.total_utility, d.total_utility, tol);
@@ -183,7 +185,7 @@ TEST(AllocatorInvariants, NeverExceedPoolOrCaps) {
       const AllocationResult r =
           std::string(name) == "greedy"
               ? allocate_greedy(threads, pool, 100)
-              : allocate_bisection(threads, pool, 100);
+              : oracle::allocate_bisection(threads, pool, 100);
       Resource used = 0;
       for (const Resource a : r.amounts) {
         ASSERT_GE(a, 0);

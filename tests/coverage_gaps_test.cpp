@@ -6,6 +6,8 @@
 
 #include <memory>
 
+#include <oracles/oracles.hpp>
+
 #include "aa/algorithm1.hpp"
 #include "aa/multi_resource.hpp"
 #include "alloc/allocator.hpp"
@@ -30,7 +32,7 @@ TEST(AllocatorWrappers, ScaledUtilityFlowsThroughGreedyAndBisection) {
       base,
   };
   const alloc::AllocationResult g = alloc::allocate_greedy(threads, 50);
-  const alloc::AllocationResult b = alloc::allocate_bisection(threads, 50);
+  const alloc::AllocationResult b = oracle::allocate_bisection(threads, 50);
   // The scaled thread has 3x the marginals everywhere, so it must receive
   // strictly more resource under both algorithms.
   EXPECT_GT(g.amounts[0], g.amounts[1]);
@@ -57,7 +59,7 @@ TEST(AllocatorEdge, PerThreadCapZeroAllocatesNothing) {
   std::vector<UtilityPtr> threads{
       std::make_shared<PowerUtility>(1.0, 0.5, 100)};
   const alloc::AllocationResult g = alloc::allocate_greedy(threads, 50, 0);
-  const alloc::AllocationResult b = alloc::allocate_bisection(threads, 50, 0);
+  const alloc::AllocationResult b = oracle::allocate_bisection(threads, 50, 0);
   EXPECT_EQ(g.amounts[0], 0);
   EXPECT_EQ(b.amounts[0], 0);
 }

@@ -1,10 +1,11 @@
 // Differential wall for the super-optimal strategy seam
-// (alloc/bisection_soa.cpp): the SoA + bracket-narrowing rewrite behind
-// super_optimal_parallel must be BIT-IDENTICAL to the serial
-// allocate_bisection reference — same c_hat vector, same F_hat double — for
-// every tested input and every thread-pool size. That exactness is what
-// licenses routing alg1/alg2/alg2h/warm-start through the seam without
-// re-running any golden or certificate test: downstream consumers cannot
+// (alloc/bisection_soa.cpp): both exact strategies — `serial`, the SoA +
+// bracket-narrowing bisection on the calling thread, and `parallel`, the
+// same code fanned across a pool — must be BIT-IDENTICAL to the literal
+// reference bisection (oracle::allocate_bisection, tests/oracles) — same
+// c_hat vector, same F_hat double — for every tested input and every
+// thread-pool size. That exactness is what licenses routing
+// alg1/alg2/alg2h/warm-start through the seam: downstream consumers cannot
 // observe which implementation ran. Mirrors algorithm1_equivalence_test's
 // reference-pinning style (docs/ALGORITHMS.md "Strategy seam").
 //
@@ -22,6 +23,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <oracles/oracles.hpp>
 
 #include "alloc/allocator.hpp"
 #include "alloc/super_optimal.hpp"
@@ -51,26 +54,32 @@ std::vector<std::unique_ptr<support::ThreadPool>>& pools() {
   return shared;
 }
 
-/// Asserts the parallel path reproduces the serial reference bit-for-bit at
-/// every pool size, and that the price path obeys its contract sanity
-/// bounds (never above F_hat; full property coverage lives in
-/// certificate_property_test).
+/// Asserts the serial strategy, and the parallel one at every pool size,
+/// reproduce the reference bisection bit-for-bit, and that the price path
+/// obeys its contract sanity bounds (never above F_hat; full property
+/// coverage lives in certificate_property_test).
 void expect_bit_identical(const std::vector<UtilityPtr>& threads,
                           std::size_t num_servers, Resource capacity) {
-  const alloc::SuperOptimalResult serial =
-      alloc::super_optimal(threads, num_servers, capacity);
+  const alloc::AllocationResult reference = oracle::allocate_bisection(
+      threads, static_cast<Resource>(num_servers) * capacity, capacity);
+  const auto expect_reference = [&](const alloc::SuperOptimalResult& got) {
+    ASSERT_EQ(got.c_hat.size(), reference.amounts.size());
+    EXPECT_EQ(got.c_hat, reference.amounts);
+    EXPECT_EQ(got.utility, reference.total_utility);
+  };
+  {
+    SCOPED_TRACE("serial");
+    expect_reference(alloc::super_optimal(threads, num_servers, capacity));
+  }
   for (const auto& pool : pools()) {
-    SCOPED_TRACE("workers=" + std::to_string(pool->worker_count()));
-    const alloc::SuperOptimalResult parallel =
-        alloc::super_optimal_parallel(threads, num_servers, capacity,
-                                      pool.get());
-    ASSERT_EQ(parallel.c_hat.size(), serial.c_hat.size());
-    EXPECT_EQ(parallel.c_hat, serial.c_hat);
-    EXPECT_EQ(parallel.utility, serial.utility);
+    SCOPED_TRACE("parallel workers=" +
+                 std::to_string(pool->worker_count()));
+    expect_reference(alloc::super_optimal_parallel(threads, num_servers,
+                                                   capacity, pool.get()));
   }
   const alloc::SuperOptimalResult price = alloc::super_optimal_price(
       threads, num_servers, capacity, 1e-9, pools().front().get());
-  EXPECT_LE(price.utility, serial.utility);
+  EXPECT_LE(price.utility, reference.total_utility);
 }
 
 const support::DistributionKind kKinds[] = {
@@ -172,7 +181,7 @@ TEST(SuperOptimalEquivalence, SingleThreadShapes) {
 TEST(SuperOptimalEquivalence, NonTabulatedUtilitiesMissTheGridFastPath) {
   // Scaled and analytic families are not TabulatedUtility, so the SoA core
   // falls back to virtual marginal() calls; the values must still match the
-  // serial reference exactly. Mixed in with tabulated threads to cover both
+  // reference exactly. Mixed in with tabulated threads to cover both
   // code paths inside one probe sweep.
   support::DistributionParams dist;
   support::Rng rng(55);
@@ -210,6 +219,8 @@ TEST(SuperOptimalEquivalence, NegativeCapacityThrowsOnEveryPath) {
   support::Rng rng(3);
   const std::vector<UtilityPtr> threads =
       util::generate_utilities(2, 8, dist, rng);
+  EXPECT_THROW((void)alloc::super_optimal(threads, 2, -1),
+               std::invalid_argument);
   EXPECT_THROW((void)alloc::super_optimal_parallel(threads, 2, -1),
                std::invalid_argument);
   EXPECT_THROW((void)alloc::super_optimal_price(threads, 2, -1),

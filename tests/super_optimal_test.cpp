@@ -8,6 +8,8 @@
 #include <memory>
 #include <numeric>
 
+#include <oracles/oracles.hpp>
+
 #include "aa/exact.hpp"
 #include "support/prng.hpp"
 #include "utility/generator.hpp"
@@ -24,7 +26,7 @@ TEST(SuperOptimal, SingleServerEqualsPlainAllocation) {
       std::make_shared<PowerUtility>(1.0, 0.5, 50),
       std::make_shared<PowerUtility>(2.0, 0.5, 50)};
   const SuperOptimalResult so = super_optimal(threads, 1, 50);
-  const AllocationResult direct = allocate_bisection(threads, 50, 50);
+  const AllocationResult direct = oracle::allocate_bisection(threads, 50, 50);
   EXPECT_NEAR(so.utility, direct.total_utility, 1e-12);
 }
 
@@ -46,7 +48,7 @@ TEST(SuperOptimal, GreedyAndBisectionPathsAgree) {
     threads.push_back(util::generate_utility(100, dist, rng));
   }
   const SuperOptimalResult a = super_optimal(threads, 3, 100);
-  const SuperOptimalResult b = super_optimal_greedy(threads, 3, 100);
+  const SuperOptimalResult b = oracle::super_optimal_greedy(threads, 3, 100);
   EXPECT_NEAR(a.utility, b.utility, 1e-7 * (1.0 + b.utility));
 }
 

@@ -186,7 +186,7 @@ TEST(Karma, CreditsConservedAcrossChurn) {
   // Churn: create/delete tenants between divisions with shifting demands;
   // after every step the live credit total equals minted - retired.
   for (int round = 0; round < 6; ++round) {
-    const std::string name = "t" + std::to_string(round);
+    const std::string name = std::string("t").append(std::to_string(round));
     const double opening = 10.0 + round;
     policy->on_tenant_created(name, opening);
     minted += opening;

@@ -10,7 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -31,6 +34,10 @@ using support::json_parse;
 
 constexpr const char* kAddPower =
     R"({"op": "add_thread", "thread": {"type": "power", "scale": 1.0, "beta": 0.5}})";
+
+/// Threads whose full solve, at 8 servers of capacity 200000, takes about
+/// three times the accept loop's 100 ms poll period in a Release build.
+constexpr std::size_t kSlowSolveThreads = 10000;
 
 std::string socket_path(const std::string& name) {
   // Keep it short: sun_path caps at ~108 bytes.
@@ -77,7 +84,7 @@ class SocketFixture : public ::testing::Test {
       ASSERT_TRUE(channel.write_line(R"({"op": "shutdown"})"));
       (void)channel.read_line();
     }
-    server_thread_.join();
+    if (server_thread_.joinable()) server_thread_.join();
     server_.reset();
     service_->stop();
   }
@@ -173,7 +180,7 @@ TEST_F(SocketFixture, RepliesCarryRidsOverTheSocket) {
   LineChannel a(fd_a.get(), kDefaultMaxLineBytes);
   LineChannel b(fd_b.get(), kDefaultMaxLineBytes);
   std::set<std::int64_t> rids;
-  for (const std::string line :
+  for (const std::string& line :
        {std::string(kAddPower), std::string(R"({"op": "solve"})"),
         std::string(R"({"op": "bogus"})")}) {
     for (LineChannel* channel : {&a, &b}) {
@@ -184,6 +191,42 @@ TEST_F(SocketFixture, RepliesCarryRidsOverTheSocket) {
     }
   }
   EXPECT_EQ(rids.size(), 6u);  // No rid reused, even on error replies.
+}
+
+/// Entries in /proc/self/fd: every descriptor the test process (client
+/// and in-process server alike) holds open.
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(SocketFixture, FinishedConnectionsAreReaped) {
+  {
+    FdHandle fd = connect_unix(path_, 2000);
+    LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+    ASSERT_TRUE(round_trip(channel, kAddPower).at("ok").as_bool());
+  }
+  const std::size_t baseline = open_fd_count();
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    FdHandle fd = connect_unix(path_, 2000);
+    LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+    ASSERT_TRUE(round_trip(channel, R"({"op": "solve"})").at("ok").as_bool())
+        << "cycle " << cycle;
+  }
+  // The accept loop reaps on its next wake, at most one poll period after
+  // the last hang-up.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t open = open_fd_count();
+  while (open > baseline + 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    open = open_fd_count();
+  }
+  EXPECT_LE(open, baseline + 2) << "baseline " << baseline;
 }
 
 TEST_F(SocketFixture, MidStreamEofIsACleanDisconnect) {
@@ -219,6 +262,87 @@ TEST_F(SmallLineFixture, OversizedLineGetsTooLargeThenDisconnect) {
   LineChannel fresh_channel(fresh.get(), kDefaultMaxLineBytes);
   EXPECT_TRUE(
       round_trip(fresh_channel, R"({"op": "stats"})").at("ok").as_bool());
+}
+
+/// Adds `count` power threads to the default tenant, pipelining them in
+/// chunks so neither side's socket buffer fills while the other waits.
+void add_threads(LineChannel& channel, std::size_t count) {
+  constexpr std::size_t kChunk = 256;
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t chunk = std::min(kChunk, count - done);
+    std::string lines = kAddPower;
+    for (std::size_t i = 1; i < chunk; ++i) {
+      lines.append("\n").append(kAddPower);
+    }
+    ASSERT_TRUE(channel.write_line(lines));
+    for (std::size_t i = 0; i < chunk; ++i) {
+      const std::optional<std::string> reply = channel.read_line();
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_TRUE(json_parse(*reply).at("ok").as_bool()) << *reply;
+    }
+    done += chunk;
+  }
+}
+
+/// Requests written together land in one batch: the worker lingers for
+/// them after popping the first.
+class LingerFixture : public SocketFixture {
+ protected:
+  void SetUp() override {
+    ServiceConfig config;
+    config.num_servers = 8;
+    config.capacity = 200000;
+    config.batch_linger_ms = 50.0;
+    start(config, kDefaultMaxLineBytes);
+  }
+};
+
+TEST_F(LingerFixture, ShutdownBatchedBehindASlowSolveStillGetsBothReplies) {
+  // The service raises shutdown_requested() while it walks the batch, and
+  // solves run after that walk. A solve that outlasts the accept loop's
+  // 100 ms poll period used to let the server close the connection before
+  // either reply went out.
+  FdHandle fd = connect_unix(path_, 2000);
+  LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+  add_threads(channel, kSlowSolveThreads);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(channel.write_line(R"({"op": "solve", "mode": "full"})"
+                                 "\n"
+                                 R"({"op": "shutdown"})"));
+  const std::optional<std::string> solved = channel.read_line();
+  const std::optional<std::string> stopped = channel.read_line();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  shut_down_ = true;
+  ASSERT_TRUE(solved.has_value()) << "after " << elapsed_ms << " ms";
+  const JsonValue solve = json_parse(*solved);
+  EXPECT_TRUE(solve.at("ok").as_bool()) << *solved;
+  // The test only shows the race if the solve outlasted the poll period.
+  EXPECT_GT(solve.at("solve_ms").as_number(), 100.0);
+  ASSERT_TRUE(stopped.has_value());
+  EXPECT_TRUE(json_parse(*stopped).at("ok").as_bool()) << *stopped;
+}
+
+TEST_F(LingerFixture, ShutdownIsBoundedWhenAClientNeverReads) {
+  {
+    FdHandle fd = connect_unix(path_, 2000);
+    LineChannel channel(fd.get(), kDefaultMaxLineBytes);
+    add_threads(channel, 2000);
+  }
+  // Twenty full assignments of 2000 threads overflow the socket buffers,
+  // so delivery blocks in send() and the owed replies never drain.
+  FdHandle stalled = connect_unix(path_, 2000);
+  LineChannel channel(stalled.get(), kDefaultMaxLineBytes);
+  std::string lines;
+  for (int i = 0; i < 20; ++i) lines.append(R"({"op": "solve"})" "\n");
+  lines.append(R"({"op": "shutdown"})");
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(channel.write_line(lines));
+  server_thread_.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  shut_down_ = true;
+  EXPECT_LT(elapsed, kShutdownReplyGrace + std::chrono::seconds(3));
 }
 
 // --- Binary-driven tests -------------------------------------------------

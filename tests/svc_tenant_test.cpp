@@ -323,14 +323,16 @@ TEST(TenantConcurrency, ShardedClientsWithChurn) {
   constexpr int kTenants = 8;
   for (int t = 0; t < kTenants; ++t) {
     ASSERT_TRUE(
-        create_tenant(service, "t" + std::to_string(t)).at("ok").as_bool());
+        create_tenant(service, std::string("t").append(std::to_string(t)))
+            .at("ok")
+            .as_bool());
   }
 
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kTenants; ++c) {
     clients.emplace_back([&service, &failures, c] {
-      const std::string tenant = "t" + std::to_string(c);
+      const std::string tenant = std::string("t").append(std::to_string(c));
       for (int i = 0; i < 40; ++i) {
         JsonValue reply;
         if (i % 5 == 4) {

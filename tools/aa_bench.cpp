@@ -32,6 +32,8 @@
 #include <utility>
 #include <vector>
 
+#include <oracles/oracles.hpp>
+
 #include "aa/algorithm1.hpp"
 #include "aa/algorithm2.hpp"
 #include "aa/heterogeneous.hpp"
@@ -105,7 +107,7 @@ std::vector<BenchCase> build_suite(std::uint64_t seed) {
              const std::vector<aa::util::Linearized> linearized =
                  aa::util::linearize(instance->threads, so.c_hat);
              const aa::core::Assignment assignment =
-                 aa::core::assign_algorithm1_reference(*instance, linearized);
+                 aa::oracle::assign_algorithm1_reference(*instance, linearized);
              return aa::core::total_utility(*instance, assignment);
            };
          }});

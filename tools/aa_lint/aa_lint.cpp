@@ -134,7 +134,8 @@ std::string mask_source(const std::string& raw) {
               (i < 2 || !is_ident_char(raw[i - 2]))) {
             std::size_t open = raw.find('(', i + 1);
             if (open == std::string::npos) break;  // Malformed; give up.
-            raw_delim = ")" + raw.substr(i + 1, open - i - 1) + "\"";
+            raw_delim.assign(1, ')');
+            raw_delim.append(raw, i + 1, open - i - 1).push_back('"');
             state = State::kRawString;
           } else {
             state = State::kString;
